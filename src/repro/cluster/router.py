@@ -32,7 +32,7 @@ import asyncio
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cluster.ring import (DEFAULT_VNODES, HashRing, moved_key_subset,
                                 moved_keys)
@@ -42,7 +42,9 @@ from repro.engine.fingerprint import spec_alias_key
 from repro.engine.plan import build_sweep_plan
 from repro.engine.store import SolutionStore, report_to_payload
 from repro.scenarios import ScenarioGrid, ScenarioSpec
-from repro.serve import PROTOCOL_VERSION, problem_to_payload
+from repro.serve import (PROTOCOL_VERSION, Send, _LineServer, _request_specs,
+                         problem_to_payload, request_metrics, request_reply,
+                         request_warm_cache, stream_request)
 from repro.utils.validation import ValidationError, require
 
 __all__ = ["ClusterClient", "ClusterStats", "RouterServer",
@@ -50,6 +52,11 @@ __all__ = ["ClusterClient", "ClusterStats", "RouterServer",
 
 #: ``on_line`` callback: ``(global cell index, per-cell response line)``.
 LineCallback = Callable[[int, Dict[str, Any]], Any]
+
+#: How a one-line runner exchange fails: unreachable, stalled, garbled,
+#: or answered with an error line.
+_RUNNER_FAULTS = (ConnectionError, OSError, asyncio.TimeoutError,
+                  json.JSONDecodeError, ValidationError)
 
 
 def spec_route_key(spec: ScenarioSpec) -> str:
@@ -183,12 +190,6 @@ class ClusterClient:
             self._unhealthy.discard(name)
             self.ring.add(name)
 
-    async def _open(self, address: RunnerAddress
-                    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        if address.unix_socket:
-            return await asyncio.open_unix_connection(address.unix_socket)
-        return await asyncio.open_connection(address.host, address.port)
-
     async def check_health(self, timeout: float = 5.0) -> Dict[str, bool]:
         """Ping every registered runner; update ring membership to match.
 
@@ -197,25 +198,13 @@ class ClusterClient:
         """
         async def probe(name: str, address: RunnerAddress) -> bool:
             try:
-                reader, writer = await asyncio.wait_for(
-                    self._open(address), timeout)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
+                reply = await asyncio.wait_for(request_reply(
+                    {"op": "ping", "id": "hc"}, host=address.host,
+                    port=address.port, unix_socket=address.unix_socket),
+                    timeout)
+            except _RUNNER_FAULTS:
                 return False
-            try:
-                writer.write(json.dumps({"op": "ping", "id": "hc"}).encode()
-                             + b"\n")
-                await writer.drain()
-                line = await asyncio.wait_for(reader.readline(), timeout)
-                return bool(line) and bool(json.loads(line).get("pong"))
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    json.JSONDecodeError):
-                return False
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+            return bool(reply.get("pong"))
 
         names = list(self.runners)
         alive = await asyncio.gather(*[probe(n, self.runners[n])
@@ -274,8 +263,7 @@ class ClusterClient:
         if prewarm:
             try:
                 warm = await self._warm_one(address.name, limit=warm_limit)
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    json.JSONDecodeError, ValidationError) as exc:
+            except _RUNNER_FAULTS as exc:
                 warm = {"warmed": 0, "aliases": 0,
                         "error": f"{type(exc).__name__}: {exc}"}
         self.ring.add(address.name)
@@ -314,30 +302,13 @@ class ClusterClient:
                         limit: Optional[int] = None) -> Dict[str, Any]:
         """Tell one runner to prewarm its full-ring key range."""
         address = self.runners[name]
-        reader, writer = await self._open(address)
-        try:
-            payload: Dict[str, Any] = {
-                "op": "warm_cache", "id": f"warm-{name}",
-                "ring": self._full_ring.to_payload(), "owner": name}
-            if limit is not None:
-                payload["limit"] = limit
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(),
-                                          self.request_timeout)
-            require(bool(line), "runner closed the connection mid-warm")
-            response = json.loads(line)
-            if response.get("error"):
-                raise ValidationError(
-                    f"runner {name!r} warm_cache error: {response['error']}")
-            return {"warmed": int(response.get("warmed", 0)),
-                    "aliases": int(response.get("aliases", 0))}
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        response = await asyncio.wait_for(request_warm_cache(
+            host=address.host, port=address.port,
+            unix_socket=address.unix_socket,
+            ring=self._full_ring.to_payload(), owner=name, limit=limit,
+            request_id=f"warm-{name}"), self.request_timeout)
+        return {"warmed": int(response.get("warmed", 0)),
+                "aliases": int(response.get("aliases", 0))}
 
     # ------------------------------------------------------------------
     # sweeps
@@ -543,54 +514,25 @@ class ClusterClient:
         a dead runner, and re-routing it would just repeat it elsewhere.
         """
         self._sub_ids += 1
-        sub_id = f"cluster-{self._sub_ids}"
-        payload = {"op": op, "id": sub_id,
+        payload = {"op": op, "id": f"cluster-{self._sub_ids}",
                    field: [payloads[i] for i in indices],
                    "method": method, "options": options or {}}
+        address = self.runners[name]
         try:
-            return await asyncio.wait_for(
-                self._fan_stream(name, sub_id, payload, indices, deliver),
-                self.request_timeout)
+            done = await asyncio.wait_for(stream_request(
+                payload,
+                lambda line: deliver(indices[line["index"]], name, line),
+                host=address.host, port=address.port,
+                unix_socket=address.unix_socket), self.request_timeout)
+        except ValidationError as exc:
+            raise ValidationError(f"runner {name!r}: {exc}") from None
         except (ConnectionError, OSError) as exc:
             return f"connection failed: {exc}"
         except asyncio.TimeoutError:
             return f"no answer within {self.request_timeout}s"
         except asyncio.IncompleteReadError:  # pragma: no cover - readline EOF
             return "connection closed mid-stream"
-
-    async def _fan_stream(self, name: str, sub_id: str,
-                          payload: Dict[str, Any], indices: List[int],
-                          deliver: Callable[[int, str, Dict[str, Any]], None],
-                          ) -> Optional[str]:
-        reader, writer = await self._open(self.runners[name])
-        try:
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return "runner closed the connection mid-sweep"
-                response = json.loads(line)
-                if response.get("id") != sub_id:
-                    continue  # protocol notices ({"id": null, ...})
-                if response.get("rejected"):
-                    raise ValidationError(
-                        f"runner {name!r} rejected the sweep: "
-                        f"{response.get('error')}")
-                if "index" in response:
-                    deliver(indices[response["index"]], name, response)
-                    continue
-                if response.get("error"):
-                    raise ValidationError(
-                        f"runner {name!r} request error: {response['error']}")
-                if response.get("done"):
-                    return None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        return None if done else "runner closed the connection mid-sweep"
 
     # ------------------------------------------------------------------
     # metrics
@@ -607,9 +549,12 @@ class ClusterClient:
         self.stats.metrics_polls += 1
         snapshots: Dict[str, Dict[str, Any]] = {}
         for name in list(self.healthy):
+            address = self.runners[name]
             try:
-                snapshots[name] = await asyncio.wait_for(
-                    self._metrics_one(name), self.request_timeout)
+                snapshots[name] = await asyncio.wait_for(request_metrics(
+                    host=address.host, port=address.port,
+                    unix_socket=address.unix_socket,
+                    request_id="cluster-metrics"), self.request_timeout)
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     json.JSONDecodeError):
                 self._mark_unhealthy(name)
@@ -619,30 +564,6 @@ class ClusterClient:
         aggregate["router"]["affinity"] = round(self.stats.affinity(), 6)
         aggregate["router"]["healthy_runners"] = len(self.healthy)
         return aggregate
-
-    async def _metrics_one(self, name: str) -> Dict[str, Any]:
-        reader, writer = await self._open(self.runners[name])
-        try:
-            writer.write(json.dumps({"op": "metrics",
-                                     "id": "cluster-metrics"}).encode()
-                         + b"\n")
-            await writer.drain()
-            line = await reader.readline()
-            require(bool(line), "runner closed the connection mid-request")
-            response = json.loads(line)
-            if response.get("error"):
-                raise ValidationError(f"runner {name!r} metrics error: "
-                                      f"{response['error']}")
-            metrics = response.get("metrics")
-            require(isinstance(metrics, dict),
-                    "metrics reply must carry a 'metrics' object")
-            return metrics
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 def _merge_leaves(values: List[Any]) -> Any:
@@ -699,7 +620,7 @@ def aggregate_metrics(snapshots: Dict[str, Dict[str, Any]]
 # the standalone router front
 # ---------------------------------------------------------------------------
 
-class RouterServer:
+class RouterServer(_LineServer):
     """``python -m repro.cluster``: the router as a JSON-lines server.
 
     Speaks the same protocol as :class:`~repro.serve.SweepServer` (ops
@@ -711,138 +632,51 @@ class RouterServer:
     drive elastic scaling without a restart: ``resize`` (live
     join/retire, see :meth:`_serve_resize`) and ``ring`` (the current
     full-membership ring payload plus the healthy-runner list).
+
+    The connection handling is :class:`~repro.serve.SweepServer`'s own
+    wire layer, so the router keeps the same hardening contract (bounded
+    lines, structured errors on a surviving connection, slow-reader
+    drops) under the same keyword parameters (``host``, ``port``,
+    ``unix_socket``, ``max_line_bytes``, ``drain_timeout``,
+    ``write_buffer_limit``, ``socket_sndbuf``; see ``SweepServer``), and
+    counts its protocol faults in the same
+    :class:`~repro.serve.ServerStats` (the ``stats`` reply's ``"server"``
+    section).
     """
 
-    def __init__(self, client: ClusterClient, *,
-                 host: str = "127.0.0.1", port: int = 0,
-                 unix_socket: Optional[str] = None,
-                 max_line_bytes: int = 1 << 20):
-        require(max_line_bytes > 0, "max_line_bytes must be positive")
+    def __init__(self, client: ClusterClient, **wire: Any):
+        super().__init__(**wire)
         self.client = client
-        self.host = host
-        self.port = port
-        self.unix_socket = unix_socket
-        self.max_line_bytes = max_line_bytes
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._request_tasks: set = set()
 
-    async def start(self) -> "RouterServer":
-        if self.unix_socket:
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.unix_socket,
-                limit=self.max_line_bytes + 2)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=self.host, port=self.port,
-                limit=self.max_line_bytes + 2)
-            self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    @property
-    def address(self) -> str:
-        if self.unix_socket:
-            return self.unix_socket
-        return f"{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        require(self._server is not None, "call start() before serve_forever()")
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._request_tasks:
-            await asyncio.gather(*list(self._request_tasks),
-                                 return_exceptions=True)
-
-    async def __aenter__(self) -> "RouterServer":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.aclose()
-
-    # ------------------------------------------------------------------
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-
-        async def send(obj: Dict[str, Any]) -> None:
-            async with write_lock:
-                try:
-                    writer.write(json.dumps(obj, sort_keys=True).encode()
-                                 + b"\n")
-                    await writer.drain()
-                except (ConnectionError, RuntimeError, OSError):
-                    pass  # client went away; runners finish regardless
-
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send({"id": None,
-                                "error": "oversized request line "
-                                         f"(> {self.max_line_bytes} bytes)"})
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = json.loads(line)
-                    require(isinstance(request, dict),
-                            "request lines must be JSON objects")
-                except (json.JSONDecodeError, ValidationError) as exc:
-                    await send({"id": None, "error": f"bad request line: {exc}"})
-                    continue
-                task = asyncio.create_task(self._serve_request(request, send))
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_request(self, request: Dict[str, Any], send) -> None:
-        request_id = request.get("id")
-        op = request.get("op", "sweep")
-        try:
-            if op == "ping":
-                await send({"id": request_id, "pong": True, "router": True})
-            elif op == "metrics":
-                await send({"id": request_id,
-                            "metrics": await self.client.metrics()})
-            elif op == "stats":
-                stats = vars(self.client.stats).copy()
-                stats["affinity"] = round(self.client.stats.affinity(), 6)
-                stats["healthy_runners"] = len(self.client.healthy)
-                stats["runners"] = {name: name not in self.client._unhealthy
-                                    for name in self.client.runners}
-                await send({"id": request_id, "stats": stats})
-            elif op == "ring":
-                await send({"id": request_id,
-                            "ring": self.client._full_ring.to_payload(),
-                            "healthy": self.client.healthy})
-            elif op == "resize":
-                await self._serve_resize(request_id, request, send)
-            elif op in ("sweep", "sweep_spec"):
-                await self._serve_sweep(request_id, op, request, send)
-            else:
-                await send({"id": request_id, "error": f"unknown op {op!r}"})
-        except (ValidationError, ValueError, TypeError, KeyError,
-                RuntimeError) as exc:
+    async def _dispatch(self, request_id: Any, op: Any,
+                        request: Dict[str, Any], send: Send) -> bool:
+        if op == "ping":
+            await send({"id": request_id, "pong": True, "router": True})
+        elif op == "metrics":
             await send({"id": request_id,
-                        "error": f"{type(exc).__name__}: {exc}"})
+                        "metrics": await self.client.metrics()})
+        elif op == "stats":
+            stats: Dict[str, Any] = vars(self.client.stats).copy()
+            stats["affinity"] = round(self.client.stats.affinity(), 6)
+            stats["healthy_runners"] = len(self.client.healthy)
+            stats["runners"] = {name: name not in self.client._unhealthy
+                                for name in self.client.runners}
+            stats["server"] = vars(self.stats).copy()
+            await send({"id": request_id, "stats": stats})
+        elif op == "ring":
+            await send({"id": request_id,
+                        "ring": self.client._full_ring.to_payload(),
+                        "healthy": self.client.healthy})
+        elif op == "resize":
+            await self._serve_resize(request_id, request, send)
+        elif op in ("sweep", "sweep_spec"):
+            await self._serve_sweep(request_id, op, request, send)
+        else:
+            return False
+        return True
 
     async def _serve_resize(self, request_id: Any,
-                            request: Dict[str, Any], send) -> None:
+                            request: Dict[str, Any], send: Send) -> None:
         """Serve one ``resize`` op: live membership change over the wire.
 
         ``{"op": "resize", "action": "add", "runner": {"name": ...,
@@ -879,7 +713,7 @@ class RouterServer:
         await send({"id": request_id, **outcome})
 
     async def _serve_sweep(self, request_id: Any, op: str,
-                           request: Dict[str, Any], send) -> None:
+                           request: Dict[str, Any], send: Send) -> None:
         options = request.get("options") or {}
         require(isinstance(options, dict), "'options' must be an object")
         method = request.get("method", "auto")
@@ -892,19 +726,9 @@ class RouterServer:
             relay_tasks.append(loop.create_task(send(out)))
 
         if op == "sweep_spec":
-            grid_payload = request.get("grid")
-            spec_payloads = request.get("specs")
-            require((grid_payload is None) != (spec_payloads is None),
-                    "sweep_spec requests need exactly one of 'grid' or "
-                    "'specs'")
-            if grid_payload is not None:
-                specs = list(ScenarioGrid.from_payload(grid_payload).expand())
-            else:
-                require(isinstance(spec_payloads, list) and spec_payloads,
-                        "'specs' must be a non-empty list of spec payloads")
-                specs = [ScenarioSpec.from_payload(p) for p in spec_payloads]
             results = await self.client.sweep_specs(
-                specs, method, options=options, on_line=on_line)
+                _request_specs(request), method, options=options,
+                on_line=on_line)
         else:
             scenarios = request.get("scenarios")
             require(isinstance(scenarios, list) and scenarios,

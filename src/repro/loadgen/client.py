@@ -53,7 +53,7 @@ from repro.loadgen.chaos import (
 )
 from repro.loadgen.report import LoadReport, build_report
 from repro.scenarios import ScenarioGrid, ScenarioSpec
-from repro.serve import request_metrics
+from repro.serve import close_writer, connect, request_metrics, send_line
 from repro.utils.validation import require
 
 __all__ = ["LoadClient", "RequestOutcome", "run_load"]
@@ -133,8 +133,7 @@ class _Connection:
 
     async def send_line(self, payload: Dict[str, Any]) -> None:
         async with self._write_lock:
-            self.writer.write(json.dumps(payload).encode() + b"\n")
-            await self.writer.drain()
+            await send_line(self.writer, payload)
 
     async def aclose(self) -> None:
         self._reader_task.cancel()
@@ -142,11 +141,7 @@ class _Connection:
             await self._reader_task
         except (asyncio.CancelledError, ConnectionError, OSError):
             pass
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await close_writer(self.writer)
 
 
 class LoadClient:
@@ -218,11 +213,7 @@ class LoadClient:
         if address is not None:
             unix_socket = address.unix_socket
             host, port = address.host, address.port
-        if unix_socket:
-            reader, writer = await asyncio.open_unix_connection(unix_socket)
-        else:
-            reader, writer = await asyncio.open_connection(host, port)
-        return _Connection(reader, writer)
+        return _Connection(*await connect(host, port, unix_socket))
 
     def _route(self, spec: ScenarioSpec) -> str:
         """The owning runner's name for one cell (cluster mode only)."""

@@ -40,7 +40,11 @@ deltas against its client-side accounting.  With ``admission_limit`` set,
 a sweep arriving while that many unique requests are already queued or in
 flight is answered immediately with a ``rejected`` line instead of
 blocking at the backpressure point -- the overload story for open-loop
-traffic (see ``docs/serving.md``).
+traffic (see ``docs/serving.md``).  The cluster router
+(:class:`~repro.cluster.router.RouterServer`, ``python -m repro.cluster``)
+subclasses this module's wire layer, so the protocol-fault handling
+above holds on its socket too; every client in the package connects
+through :func:`connect`.
 
 A *problem payload* mirrors the engine's content model (see
 :func:`problem_to_payload`)::
@@ -89,7 +93,8 @@ import json
 import socket
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
+                    Tuple, TypeVar, Union)
 
 from repro.core.dag import TradeoffDAG
 from repro.core.duration import ConstantDuration, GeneralStepDuration
@@ -111,6 +116,12 @@ __all__ = [
     "request_sweep_spec",
     "request_metrics",
     "request_warm_cache",
+    "CLIENT_LINE_LIMIT",
+    "connect",
+    "send_line",
+    "request_reply",
+    "stream_request",
+    "close_writer",
     "main",
 ]
 
@@ -208,18 +219,19 @@ def _normalize(problem: Problem) -> Problem:
 
 
 # ---------------------------------------------------------------------------
-# the server
+# the wire layer both server fronts share
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ServerStats:
-    """Wire-level counters of one :class:`SweepServer` lifetime.
+    """Wire-level counters of one server front's lifetime.
 
-    These sit *in front* of the service's
-    :class:`~repro.engine.async_service.AsyncSweepStats`: everything the
-    service never sees (protocol faults, admission rejections, dropped
-    slow readers) is only visible here.  Exported by the ``stats`` and
-    ``metrics`` ops under ``"server"``.
+    These sit *in front* of whatever the front serves (a runner's
+    :class:`~repro.engine.async_service.AsyncSweepStats`, a router's
+    :class:`~repro.cluster.router.ClusterStats`): everything that never
+    gets past the wire (protocol faults, admission rejections, dropped
+    slow readers) is only visible here.  Exported by the ``stats`` op
+    under ``"server"`` on both fronts, and by a runner's ``metrics`` op.
     """
 
     #: Client connections accepted.
@@ -239,62 +251,33 @@ class ServerStats:
     slow_reader_drops: int = 0
 
 
-class SweepServer:
-    """Newline-delimited-JSON front end over an :class:`AsyncSweepService`.
+_ServerT = TypeVar("_ServerT", bound="_LineServer")
 
-    One server wraps one service; connections are handled concurrently and
-    every request line inside a connection is served concurrently too
-    (responses are tagged with the request's ``id`` and may interleave --
-    per-scenario results stream back the moment their futures resolve).
+#: ``send(obj)``: write one response line on a connection.
+Send = Callable[[Dict[str, Any]], Awaitable[None]]
 
-    Parameters
-    ----------
-    max_line_bytes:
-        Longest request line accepted; longer lines are discarded without
-        parsing and answered with a structured error (the connection
-        survives).  Bounds per-connection buffer memory against oversized
-        or hostile payloads.
-    drain_timeout:
-        With a value, a response write whose ``drain()`` stalls longer
-        than this many seconds aborts the connection (counted in
-        ``stats.slow_reader_drops``) -- a reader that stopped reading
-        must not pin server memory.  ``None`` (default) waits forever.
-    write_buffer_limit:
-        Optional transport high-water mark in bytes (per connection);
-        smaller values make ``drain()`` engage earlier.  Mostly for the
-        slow-reader chaos tests and the load harness.
-    socket_sndbuf:
-        Optional ``SO_SNDBUF`` for accepted connections; shrinking it
-        makes slow-reader behaviour reproducible (the kernel otherwise
-        absorbs hundreds of KB before ``drain()`` ever blocks).
-    admission_limit:
-        With a value, a sweep arriving while ``queue_depth() +
-        inflight_count()`` is at or above it is *rejected* immediately
-        (``{"rejected": true}`` line, ``stats.rejections``) instead of
-        blocking at the bounded queue.  ``None`` (default) keeps the pure
-        backpressure behaviour.
-    runner_id:
-        Optional stable name of this runner inside a cluster (see
-        :mod:`repro.cluster`); echoed in every ``ping`` reply and stamped
-        on the service's ``metrics`` snapshot so an aggregating router
-        can attribute counters per runner.
+
+class _LineServer:
+    """The hardened JSON-lines front every server in the package reuses.
+
+    Owns everything about the wire and nothing about any op: the
+    listener lifecycle, the bounded line reader, the per-connection
+    ``send`` (write lock, ``drain_timeout``, slow-reader drop), the line
+    loop with its structured protocol-fault answers, :class:`ServerStats`
+    and the unknown-op reply.  A front implements :meth:`_dispatch` --
+    its op handlers -- and nothing else.  The parameters are documented
+    on :class:`SweepServer`.
     """
 
-    def __init__(self, service: AsyncSweepService, *,
-                 host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  unix_socket: Optional[str] = None,
                  max_line_bytes: int = 1 << 20,
                  drain_timeout: Optional[float] = None,
                  write_buffer_limit: Optional[int] = None,
-                 socket_sndbuf: Optional[int] = None,
-                 admission_limit: Optional[int] = None,
-                 runner_id: Optional[str] = None):
+                 socket_sndbuf: Optional[int] = None):
         require(max_line_bytes > 0, "max_line_bytes must be positive")
         require(drain_timeout is None or drain_timeout > 0,
                 "drain_timeout must be positive (or None)")
-        require(admission_limit is None or admission_limit >= 0,
-                "admission_limit must be >= 0 (or None)")
-        self.service = service
         self.host = host
         self.port = port
         self.unix_socket = unix_socket
@@ -302,19 +285,14 @@ class SweepServer:
         self.drain_timeout = drain_timeout
         self.write_buffer_limit = write_buffer_limit
         self.socket_sndbuf = socket_sndbuf
-        self.admission_limit = admission_limit
-        self.runner_id = runner_id
-        if runner_id is not None and service.runner_id is None:
-            service.runner_id = runner_id
         self.stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._request_tasks: set = set()
         self._connections: set = set()
 
     # -- lifecycle -----------------------------------------------------
-    async def start(self) -> "SweepServer":
-        """Bind the listening socket and warm the service."""
-        await self.service.start()
+    async def start(self: _ServerT) -> _ServerT:
+        """Bind the listening socket."""
         if self.unix_socket:
             self._server = await asyncio.start_unix_server(
                 self._handle_client, path=self.unix_socket)
@@ -338,14 +316,14 @@ class SweepServer:
             await self._server.serve_forever()
 
     def abort(self) -> None:
-        """Hard-stop, as if the runner process died: no drain, no goodbyes.
+        """Hard-stop, as if the process died: no drain, no goodbyes.
 
         Closes the listener and severs every live connection at the
-        transport (clients see a reset, not EOF).  Shards already running
-        in the pool still finish and persist -- exactly the store-backed
-        recovery a cluster router relies on when it re-routes the cells
-        this runner never answered.  The failover tests in
-        ``tests/test_cluster.py`` are the contract.
+        transport (clients see a reset, not EOF).  Work already handed
+        to a runner's pool still finishes and persists -- exactly the
+        store-backed recovery a cluster router relies on when it
+        re-routes the cells this runner never answered.  The failover
+        tests in ``tests/test_cluster.py`` are the contract.
         """
         if self._server is not None:
             self._server.close()
@@ -363,15 +341,14 @@ class SweepServer:
         if self._request_tasks:
             await asyncio.gather(*list(self._request_tasks),
                                  return_exceptions=True)
-        await self.service.aclose()
 
-    async def __aenter__(self) -> "SweepServer":
+    async def __aenter__(self: _ServerT) -> _ServerT:
         return await self.start()
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.aclose()
 
-    # -- request handling ----------------------------------------------
+    # -- the wire ------------------------------------------------------
     async def _next_line(self, reader: asyncio.StreamReader,
                          buffer: bytearray) -> Tuple[Optional[bytes], bool]:
         """The next newline-terminated line, bounded by ``max_line_bytes``.
@@ -438,7 +415,7 @@ class SweepServer:
                     alive = False
                     self.stats.slow_reader_drops += 1
                     writer.transport.abort()
-                except (ConnectionError, RuntimeError):
+                except (OSError, RuntimeError):
                     alive = False  # client went away; results stay persisted
 
         buffer = bytearray()
@@ -476,45 +453,12 @@ class SweepServer:
             except (ConnectionError, OSError):
                 pass
 
-    def _overloaded(self) -> bool:
-        """Is the service at (or past) the admission limit right now?"""
-        return (self.admission_limit is not None
-                and (self.service.queue_depth()
-                     + self.service.inflight_count()) >= self.admission_limit)
-
-    async def _reject(self, request_id: Any, send) -> None:
-        self.stats.rejections += 1
-        await send({"id": request_id, "rejected": True,
-                    "error": "overloaded: admission limit reached "
-                             f"({self.admission_limit} requests pending)"})
-
-    async def _serve_request(self, request: Dict[str, Any], send) -> None:
+    async def _serve_request(self, request: Dict[str, Any], send: Send) -> None:
         request_id = request.get("id")
         op = request.get("op", "sweep")
         self.stats.requests += 1
         try:
-            if op == "ping":
-                reply = {"id": request_id, "pong": True}
-                if self.runner_id is not None:
-                    reply["runner"] = self.runner_id
-                await send(reply)
-            elif op == "stats":
-                stats = vars(self.service.stats).copy()
-                stats["queue_depth"] = self.service.queue_depth()
-                stats["inflight"] = self.service.inflight_count()
-                stats["server"] = vars(self.stats).copy()
-                await send({"id": request_id, "stats": stats})
-            elif op == "metrics":
-                metrics = self.service.snapshot()
-                metrics["server"] = vars(self.stats).copy()
-                await send({"id": request_id, "metrics": metrics})
-            elif op == "sweep":
-                await self._serve_sweep(request_id, request, send)
-            elif op == "sweep_spec":
-                await self._serve_sweep_spec(request_id, request, send)
-            elif op == "warm_cache":
-                await self._serve_warm_cache(request_id, request, send)
-            else:
+            if not await self._dispatch(request_id, op, request, send):
                 self.stats.protocol_errors += 1
                 await send({"id": request_id, "error": f"unknown op {op!r}"})
         except (ValidationError, ValueError, TypeError, KeyError,
@@ -522,7 +466,146 @@ class SweepServer:
             await send({"id": request_id,
                         "error": f"{type(exc).__name__}: {exc}"})
 
-    async def _relay_ticket(self, request_id: Any, ticket, send,
+    async def _dispatch(self, request_id: Any, op: Any,
+                        request: Dict[str, Any], send: Send) -> bool:
+        """Serve one op; ``False`` when this front has no such op."""
+        raise NotImplementedError
+
+
+def _request_specs(request: Dict[str, Any]) -> List[ScenarioSpec]:
+    """A ``sweep_spec`` request's cells: exactly one of ``grid``/``specs``."""
+    grid_payload = request.get("grid")
+    spec_payloads = request.get("specs")
+    require((grid_payload is None) != (spec_payloads is None),
+            "sweep_spec requests need exactly one of 'grid' or 'specs'")
+    if grid_payload is not None:
+        specs = list(ScenarioGrid.from_payload(grid_payload).expand())
+    else:
+        require(isinstance(spec_payloads, list) and spec_payloads,
+                "'specs' must be a non-empty list of spec payloads")
+        specs = [ScenarioSpec.from_payload(p) for p in spec_payloads]
+    require(len(specs) > 0, "the grid expands to zero cells")
+    return specs
+
+
+# ---------------------------------------------------------------------------
+# the runner front
+# ---------------------------------------------------------------------------
+
+class SweepServer(_LineServer):
+    """Newline-delimited-JSON front end over an :class:`AsyncSweepService`.
+
+    One server wraps one service; connections are handled concurrently and
+    every request line inside a connection is served concurrently too
+    (responses are tagged with the request's ``id`` and may interleave --
+    per-scenario results stream back the moment their futures resolve).
+
+    Parameters
+    ----------
+    max_line_bytes:
+        Longest request line accepted; longer lines are discarded without
+        parsing and answered with a structured error (the connection
+        survives).  Bounds per-connection buffer memory against oversized
+        or hostile payloads.
+    drain_timeout:
+        With a value, a response write whose ``drain()`` stalls longer
+        than this many seconds aborts the connection (counted in
+        ``stats.slow_reader_drops``) -- a reader that stopped reading
+        must not pin server memory.  ``None`` (default) waits forever.
+    write_buffer_limit:
+        Optional transport high-water mark in bytes (per connection);
+        smaller values make ``drain()`` engage earlier.  Mostly for the
+        slow-reader chaos tests and the load harness.
+    socket_sndbuf:
+        Optional ``SO_SNDBUF`` for accepted connections; shrinking it
+        makes slow-reader behaviour reproducible (the kernel otherwise
+        absorbs hundreds of KB before ``drain()`` ever blocks).
+    admission_limit:
+        With a value, a sweep arriving while ``queue_depth() +
+        inflight_count()`` is at or above it is *rejected* immediately
+        (``{"rejected": true}`` line, ``stats.rejections``) instead of
+        blocking at the bounded queue.  ``None`` (default) keeps the pure
+        backpressure behaviour.
+    runner_id:
+        Optional stable name of this runner inside a cluster (see
+        :mod:`repro.cluster`); echoed in every ``ping`` reply and stamped
+        on the service's ``metrics`` snapshot so an aggregating router
+        can attribute counters per runner.
+    """
+
+    def __init__(self, service: AsyncSweepService, *,
+                 host: str = "127.0.0.1", port: int = 0,
+                 unix_socket: Optional[str] = None,
+                 max_line_bytes: int = 1 << 20,
+                 drain_timeout: Optional[float] = None,
+                 write_buffer_limit: Optional[int] = None,
+                 socket_sndbuf: Optional[int] = None,
+                 admission_limit: Optional[int] = None,
+                 runner_id: Optional[str] = None):
+        super().__init__(host=host, port=port, unix_socket=unix_socket,
+                         max_line_bytes=max_line_bytes,
+                         drain_timeout=drain_timeout,
+                         write_buffer_limit=write_buffer_limit,
+                         socket_sndbuf=socket_sndbuf)
+        require(admission_limit is None or admission_limit >= 0,
+                "admission_limit must be >= 0 (or None)")
+        self.service = service
+        self.admission_limit = admission_limit
+        self.runner_id = runner_id
+        if runner_id is not None and service.runner_id is None:
+            service.runner_id = runner_id
+
+    async def start(self) -> "SweepServer":
+        """Warm the service and bind the listening socket."""
+        await self.service.start()
+        return await super().start()
+
+    async def aclose(self) -> None:
+        """Stop accepting connections, finish pending requests, close."""
+        await super().aclose()
+        await self.service.aclose()
+
+    # -- request handling ----------------------------------------------
+    def _overloaded(self) -> bool:
+        """Is the service at (or past) the admission limit right now?"""
+        return (self.admission_limit is not None
+                and (self.service.queue_depth()
+                     + self.service.inflight_count()) >= self.admission_limit)
+
+    async def _reject(self, request_id: Any, send: Send) -> None:
+        self.stats.rejections += 1
+        await send({"id": request_id, "rejected": True,
+                    "error": "overloaded: admission limit reached "
+                             f"({self.admission_limit} requests pending)"})
+
+    async def _dispatch(self, request_id: Any, op: Any,
+                        request: Dict[str, Any], send: Send) -> bool:
+        if op == "ping":
+            reply = {"id": request_id, "pong": True}
+            if self.runner_id is not None:
+                reply["runner"] = self.runner_id
+            await send(reply)
+        elif op == "stats":
+            stats = vars(self.service.stats).copy()
+            stats["queue_depth"] = self.service.queue_depth()
+            stats["inflight"] = self.service.inflight_count()
+            stats["server"] = vars(self.stats).copy()
+            await send({"id": request_id, "stats": stats})
+        elif op == "metrics":
+            metrics = self.service.snapshot()
+            metrics["server"] = vars(self.stats).copy()
+            await send({"id": request_id, "metrics": metrics})
+        elif op == "sweep":
+            await self._serve_sweep(request_id, request, send)
+        elif op == "sweep_spec":
+            await self._serve_sweep_spec(request_id, request, send)
+        elif op == "warm_cache":
+            await self._serve_warm_cache(request_id, request, send)
+        else:
+            return False
+        return True
+
+    async def _relay_ticket(self, request_id: Any, ticket, send: Send,
                             extra_fields=None) -> None:
         """Stream one line per slot future as it resolves, then ``done``.
 
@@ -549,7 +632,7 @@ class SweepServer:
                     "protocol": PROTOCOL_VERSION})
 
     async def _serve_sweep(self, request_id: Any, request: Dict[str, Any],
-                           send) -> None:
+                           send: Send) -> None:
         if self._overloaded():
             await self._reject(request_id, send)
             return
@@ -565,24 +648,14 @@ class SweepServer:
         await self._relay_ticket(request_id, ticket, send)
 
     async def _serve_sweep_spec(self, request_id: Any, request: Dict[str, Any],
-                                send) -> None:
+                                send: Send) -> None:
         """Serve one spec-native sweep: expand, submit, stream per cell."""
         if self._overloaded():
             await self._reject(request_id, send)
             return
-        grid_payload = request.get("grid")
-        spec_payloads = request.get("specs")
-        require((grid_payload is None) != (spec_payloads is None),
-                "sweep_spec requests need exactly one of 'grid' or 'specs'")
         options = request.get("options") or {}
         require(isinstance(options, dict), "'options' must be an object")
-        if grid_payload is not None:
-            specs = list(ScenarioGrid.from_payload(grid_payload).expand())
-        else:
-            require(isinstance(spec_payloads, list) and spec_payloads,
-                    "'specs' must be a non-empty list of spec payloads")
-            specs = [ScenarioSpec.from_payload(p) for p in spec_payloads]
-        require(len(specs) > 0, "the grid expands to zero cells")
+        specs = _request_specs(request)
         ticket = await self.service.submit_specs(
             specs, request.get("method", "auto"), **options)
         await self._relay_ticket(
@@ -590,7 +663,7 @@ class SweepServer:
             extra_fields=lambda index: {"cell": specs[index].cell_digest()})
 
     async def _serve_warm_cache(self, request_id: Any,
-                                request: Dict[str, Any], send) -> None:
+                                request: Dict[str, Any], send: Send) -> None:
         """Serve one ``warm_cache`` op: prewarm this runner's key range.
 
         The wire entry point of an elastic-resize warm handoff: the router
@@ -606,7 +679,7 @@ class SweepServer:
         ring = None
         if ring_payload is not None:
             # Imported here, not at module level: the cluster package's
-            # router already imports this module for the wire helpers.
+            # router already imports this module for the wire layer.
             from repro.cluster.ring import HashRing
 
             ring = HashRing.from_payload(ring_payload)
@@ -624,49 +697,106 @@ class SweepServer:
 
 
 # ---------------------------------------------------------------------------
-# client helper
+# client helpers: the one connect path
 # ---------------------------------------------------------------------------
 
-async def _stream_request(payload: Dict[str, Any], expected: int, *,
-                          host: str, port: Optional[int],
-                          unix_socket: Optional[str]) -> List[Dict[str, Any]]:
-    """Send one request line, collect its streamed per-slot responses.
+#: Longest response line a client connection reads (bytes).  The server
+#: writes lines of any length -- one wide cell's report runs to ~80 KB,
+#: past asyncio's 64 KiB ``StreamReader`` default -- so every client
+#: helper (and :mod:`repro.cluster`, :mod:`repro.loadgen`) reads through
+#: :func:`connect`, which sets this bound once.
+CLIENT_LINE_LIMIT = 1 << 26
 
-    Returns the per-slot response dicts in batch order (the streamed order
-    may differ; this helper reassembles it).  Raises
-    :class:`ValidationError` on a server-reported request error.
-    """
+
+async def connect(host: str = "127.0.0.1", port: Optional[int] = None,
+                  unix_socket: Optional[str] = None,
+                  ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Open one client connection to a server front (unix socket or TCP)."""
     if unix_socket:
-        reader, writer = await asyncio.open_unix_connection(unix_socket)
-    else:
-        require(port is not None, "the client helpers need port= or unix_socket=")
-        reader, writer = await asyncio.open_connection(host, port)
+        return await asyncio.open_unix_connection(unix_socket,
+                                                  limit=CLIENT_LINE_LIMIT)
+    require(port is not None, "the client helpers need port= or unix_socket=")
+    return await asyncio.open_connection(host, port, limit=CLIENT_LINE_LIMIT)
+
+
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close a client connection, ignoring a peer that already left."""
+    writer.close()
     try:
-        writer.write(json.dumps(payload).encode() + b"\n")
-        await writer.drain()
-        results: Dict[int, Dict[str, Any]] = {}
+        await writer.wait_closed()
+    except (ConnectionError, OSError):  # pragma: no cover - teardown race
+        pass
+
+
+async def send_line(writer: asyncio.StreamWriter,
+                    payload: Dict[str, Any]) -> None:
+    """Write one request line and flush it."""
+    writer.write(json.dumps(payload).encode() + b"\n")
+    await writer.drain()
+
+
+async def request_reply(payload: Dict[str, Any], *, host: str = "127.0.0.1",
+                        port: Optional[int] = None,
+                        unix_socket: Optional[str] = None) -> Dict[str, Any]:
+    """Send one request line on a fresh connection; return its one reply.
+
+    Raises :class:`ValidationError` when the server closes the connection
+    first or answers with an ``error``.
+    """
+    reader, writer = await connect(host, port, unix_socket)
+    try:
+        await send_line(writer, payload)
+        line = await reader.readline()
+    finally:
+        await close_writer(writer)
+    require(bool(line), "server closed the connection mid-request")
+    response = json.loads(line)
+    if response.get("error"):
+        raise ValidationError(f"server error: {response['error']}")
+    return response
+
+
+async def stream_request(payload: Dict[str, Any],
+                         on_slot: Callable[[Dict[str, Any]], Any], *,
+                         host: str = "127.0.0.1", port: Optional[int] = None,
+                         unix_socket: Optional[str] = None) -> bool:
+    """Send one sweep request line; hand each per-slot reply to ``on_slot``.
+
+    Returns ``True`` at the ``done`` line, ``False`` when the server closes
+    the connection first.  A failed slot (``"source": "failed"``) is a
+    valid slot line; a request-level error line (bad request, admission
+    rejection, protocol fault) raises :class:`ValidationError`.
+    """
+    reader, writer = await connect(host, port, unix_socket)
+    try:
+        await send_line(writer, payload)
         while True:
             line = await reader.readline()
-            require(bool(line), "server closed the connection mid-request")
+            if not line:
+                return False
             response = json.loads(line)
             if "index" in response:
-                # Per-scenario line; a failed scenario ("source": "failed",
-                # "error": ...) is a valid result slot, not a request error.
-                results[response["index"]] = response
-                continue
-            if response.get("error"):
+                on_slot(response)
+            elif response.get("error"):
                 raise ValidationError(f"server error: {response['error']}")
-            if response.get("done"):
-                break
-        require(len(results) == expected,
-                f"server answered {len(results)}/{expected} scenarios")
-        return [results[i] for i in range(expected)]
+            elif response.get("done"):
+                return True
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+        await close_writer(writer)
+
+
+async def _collect_slots(payload: Dict[str, Any], expected: int, *,
+                         host: str, port: Optional[int],
+                         unix_socket: Optional[str]) -> List[Dict[str, Any]]:
+    """:func:`stream_request`, reassembled into batch order."""
+    results: Dict[int, Dict[str, Any]] = {}
+    done = await stream_request(
+        payload, lambda slot: results.__setitem__(slot["index"], slot),
+        host=host, port=port, unix_socket=unix_socket)
+    require(done, "server closed the connection mid-request")
+    require(len(results) == expected,
+            f"server answered {len(results)}/{expected} scenarios")
+    return [results[i] for i in range(expected)]
 
 
 async def request_sweep(problems: Sequence[Problem], *,
@@ -684,8 +814,8 @@ async def request_sweep(problems: Sequence[Problem], *,
     payload = {"op": "sweep", "id": request_id,
                "scenarios": [problem_to_payload(p) for p in problems],
                "method": method, "options": options or {}}
-    return await _stream_request(payload, len(problems), host=host,
-                                 port=port, unix_socket=unix_socket)
+    return await _collect_slots(payload, len(problems), host=host,
+                                port=port, unix_socket=unix_socket)
 
 
 async def request_sweep_spec(scenarios: Union[ScenarioGrid,
@@ -718,8 +848,8 @@ async def request_sweep_spec(scenarios: Union[ScenarioGrid,
                    "specs": [spec.to_payload() for spec in specs]}
     payload["method"] = method
     payload["options"] = options or {}
-    return await _stream_request(payload, expected, host=host, port=port,
-                                 unix_socket=unix_socket)
+    return await _collect_slots(payload, expected, host=host, port=port,
+                                unix_socket=unix_socket)
 
 
 async def request_metrics(*, host: str = "127.0.0.1",
@@ -733,29 +863,12 @@ async def request_metrics(*, host: str = "127.0.0.1",
     the wire-level :class:`ServerStats` under ``"server"``).  Raises
     :class:`ValidationError` on a server-reported error.
     """
-    if unix_socket:
-        reader, writer = await asyncio.open_unix_connection(unix_socket)
-    else:
-        require(port is not None, "the client helpers need port= or unix_socket=")
-        reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps({"op": "metrics", "id": request_id}).encode()
-                     + b"\n")
-        await writer.drain()
-        line = await reader.readline()
-        require(bool(line), "server closed the connection mid-request")
-        response = json.loads(line)
-        if response.get("error"):
-            raise ValidationError(f"server error: {response['error']}")
-        require(isinstance(response.get("metrics"), dict),
-                "metrics reply must carry a 'metrics' object")
-        return response["metrics"]
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+    response = await request_reply({"op": "metrics", "id": request_id},
+                                   host=host, port=port,
+                                   unix_socket=unix_socket)
+    require(isinstance(response.get("metrics"), dict),
+            "metrics reply must carry a 'metrics' object")
+    return response["metrics"]
 
 
 async def request_warm_cache(*, host: str = "127.0.0.1",
@@ -779,28 +892,11 @@ async def request_warm_cache(*, host: str = "127.0.0.1",
         payload["owner"] = owner
     if limit is not None:
         payload["limit"] = limit
-    if unix_socket:
-        reader, writer = await asyncio.open_unix_connection(unix_socket)
-    else:
-        require(port is not None, "the client helpers need port= or unix_socket=")
-        reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps(payload).encode() + b"\n")
-        await writer.drain()
-        line = await reader.readline()
-        require(bool(line), "server closed the connection mid-request")
-        response = json.loads(line)
-        if response.get("error"):
-            raise ValidationError(f"server error: {response['error']}")
-        require("warmed" in response,
-                "warm_cache reply must carry a 'warmed' count")
-        return response
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+    response = await request_reply(payload, host=host, port=port,
+                                   unix_socket=unix_socket)
+    require("warmed" in response,
+            "warm_cache reply must carry a 'warmed' count")
+    return response
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.cluster.router import spec_route_key
 from repro.engine import Portfolio, clear_caches, set_solution_store
 from repro.engine.async_service import AsyncSweepService
 from repro.engine.store import report_to_payload
+from repro.loadgen.chaos import oversized_line
 from repro.scenarios import Axis, ScenarioGrid
 from repro.serve import request_metrics, request_sweep_spec
 from repro.utils.validation import ValidationError
@@ -409,23 +410,40 @@ class TestRouterServer:
         async def body():
             async with LocalCluster(2) as cluster:
                 client = ClusterClient(cluster.addresses())
-                async with RouterServer(client, unix_socket=sock):
+                async with RouterServer(client, unix_socket=sock,
+                                        max_line_bytes=4096):
                     bad = await talk(b"this is not json\n")
+                    not_object = await talk(b"[1, 2, 3]\n")
                     unknown = await talk(json.dumps(
                         {"op": "nope", "id": "x"}).encode() + b"\n")
+                    oversized = await talk(oversized_line(8192))
                     pong = await talk(json.dumps(
                         {"op": "ping", "id": "p"}).encode() + b"\n")
                     stats = await talk(json.dumps(
                         {"op": "stats", "id": "s"}).encode() + b"\n")
-                return bad, unknown, pong, stats
+                    metrics = await request_metrics(unix_socket=sock)
+                return bad, not_object, unknown, oversized, pong, stats, \
+                    metrics
 
-        bad, unknown, pong, stats = run_async(body())
+        bad, not_object, unknown, oversized, pong, stats, metrics = \
+            run_async(body())
         assert bad["id"] is None and "bad request line" in bad["error"]
+        assert "bad request line" in not_object["error"]
         assert "unknown op" in unknown["error"]
+        assert oversized["id"] is None and "oversized" in oversized["error"]
         assert pong["pong"] is True and pong["router"] is True
         assert stats["stats"]["healthy_runners"] == 2
         assert stats["stats"]["runners"] == {"runner-0": True,
                                              "runner-1": True}
+        # the router's own wire counters, shaped like a runner's
+        server = stats["stats"]["server"]
+        assert server["protocol_errors"] == 4
+        assert server["oversized_lines"] == 1
+        assert server["requests"] == 3  # nope, ping, stats
+        assert server["connections"] == 6
+        assert server["slow_reader_drops"] == 0
+        # metrics' "server" stays the runner aggregate: no router faults
+        assert metrics["server"]["protocol_errors"] == 0
 
 
 class TestClusterLoadgen:

@@ -6,8 +6,10 @@ JSON, non-object lines, oversized payloads, mid-stream disconnects,
 slow readers, admission overload -- then asserts the server (a) stays
 up and keeps serving other clients, (b) counts the fault in
 ``ServerStats``, and (c) leaves store contents and results bit-identical
-to a clean run.  CI runs this file under pytest-timeout in the
-concurrency-stress job.
+to a clean run.  The protocol-fault and slow-reader classes run against
+both fronts: a ``repro.serve`` runner and a ``repro.cluster`` router in
+front of a one-runner cluster (the ``...Router`` subclasses).  CI runs
+this file under pytest-timeout in the concurrency-stress job.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from contextlib import contextmanager
+from contextlib import asynccontextmanager, contextmanager
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import ClusterClient, LocalCluster, RouterServer
 from repro.core.problem import TradeoffSolution
 from repro.engine import (
     MIN_MAKESPAN,
@@ -32,7 +35,7 @@ from repro.engine import (
 )
 from repro.loadgen.chaos import malformed_line, non_object_line, oversized_line
 from repro.scenarios import ScenarioSpec
-from repro.serve import SweepServer, request_metrics
+from repro.serve import SweepServer, request_metrics, request_sweep_spec
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +86,23 @@ def blocking_solver(name="test-chaos-blocking"):
         unregister_solver(name)
 
 
+@asynccontextmanager
+async def serving(front, tmp_path, **wire):
+    """A live front on a unix socket: a ``"runner"`` (:class:`SweepServer`)
+    or a ``"router"`` (:class:`RouterServer` over a one-runner cluster);
+    ``wire`` is the shared wire layer's parameters."""
+    path = str(tmp_path / "s.sock")
+    if front == "runner":
+        async with SweepServer(_service(tmp_path), unix_socket=path,
+                               **wire) as server:
+            yield server
+        return
+    async with LocalCluster(1, store_root=str(tmp_path / "store")) as cluster:
+        async with RouterServer(ClusterClient(cluster.addresses()),
+                                unix_socket=path, **wire) as server:
+            yield server
+
+
 async def _connect(path):
     return await asyncio.open_unix_connection(path)
 
@@ -121,6 +141,9 @@ def _strip_timing(slot):
 
 
 class TestProtocolFaults:
+    #: The front under test (see :func:`serving`).
+    front = "runner"
+
     @pytest.mark.parametrize("raw, expect", [
         (malformed_line(), "bad request line"),
         (non_object_line(), "bad request line"),
@@ -129,9 +152,7 @@ class TestProtocolFaults:
     def test_garbage_line_answered_and_connection_survives(
             self, tmp_path, raw, expect):
         async def body():
-            async with SweepServer(_service(tmp_path),
-                                   unix_socket=str(tmp_path / "s.sock")) \
-                    as server:
+            async with serving(self.front, tmp_path) as server:
                 reader, writer = await _connect(server.unix_socket)
                 writer.write(raw)
                 await writer.drain()
@@ -149,9 +170,7 @@ class TestProtocolFaults:
 
     def test_unknown_op_is_a_protocol_error_with_id(self, tmp_path):
         async def body():
-            async with SweepServer(_service(tmp_path),
-                                   unix_socket=str(tmp_path / "s.sock")) \
-                    as server:
+            async with serving(self.front, tmp_path) as server:
                 reader, writer = await _connect(server.unix_socket)
                 lines = await _request(writer, reader,
                                        {"op": "frobnicate", "id": "u1"})
@@ -167,10 +186,8 @@ class TestProtocolFaults:
 
     def test_oversized_line_discarded_without_buffering(self, tmp_path):
         async def body():
-            server = SweepServer(_service(tmp_path),
-                                 unix_socket=str(tmp_path / "s.sock"),
-                                 max_line_bytes=4096)
-            async with server:
+            async with serving(self.front, tmp_path,
+                               max_line_bytes=4096) as server:
                 reader, writer = await _connect(server.unix_socket)
                 writer.write(oversized_line(64 * 1024))
                 await writer.drain()
@@ -195,10 +212,8 @@ class TestProtocolFaults:
         # bound must be rejected on length, not parsed because the newline
         # arrived before the buffer check.
         async def body():
-            server = SweepServer(_service(tmp_path),
-                                 unix_socket=str(tmp_path / "s.sock"),
-                                 max_line_bytes=2048)
-            async with server:
+            async with serving(self.front, tmp_path,
+                               max_line_bytes=2048) as server:
                 reader, writer = await _connect(server.unix_socket)
                 writer.write(oversized_line(2100))
                 await writer.drain()
@@ -208,6 +223,12 @@ class TestProtocolFaults:
                 await writer.wait_closed()
                 assert server.stats.oversized_lines == 1
         run_async(body())
+
+
+class TestProtocolFaultsRouter(TestProtocolFaults):
+    """The protocol-fault matrix against ``python -m repro.cluster``'s front."""
+
+    front = "router"
 
 
 class TestDisconnects:
@@ -266,14 +287,14 @@ class TestDisconnects:
 
 
 class TestSlowReaders:
+    #: The front under test (see :func:`serving`).
+    front = "runner"
+
     def test_slow_reader_dropped_but_other_clients_served(self, tmp_path):
         async def body():
-            server = SweepServer(_service(tmp_path),
-                                 unix_socket=str(tmp_path / "s.sock"),
-                                 drain_timeout=0.25,
-                                 write_buffer_limit=1024,
-                                 socket_sndbuf=4096)
-            async with server:
+            async with serving(self.front, tmp_path, drain_timeout=0.25,
+                               write_buffer_limit=1024,
+                               socket_sndbuf=4096) as server:
                 # the stalled client: floods pings whose ids echo back
                 # ~8KB each, and never reads a byte
                 reader, writer = await _connect(server.unix_socket)
@@ -296,6 +317,12 @@ class TestSlowReaders:
                 writer.close()
                 await writer.wait_closed()
         run_async(body())
+
+
+class TestSlowReadersRouter(TestSlowReaders):
+    """The slow-reader drop against ``python -m repro.cluster``'s front."""
+
+    front = "router"
 
 
 class TestAdmissionControl:
@@ -368,3 +395,31 @@ class TestMetricsOp:
                             "materializations", "server"):
                 assert section in after
         run_async(body())
+
+
+class TestClientLineLimit:
+    """Reply lines past asyncio's 64 KiB default reach every client."""
+
+    #: Solves in about half a second; its one reply line is ~80 KB.
+    WIDE = ScenarioSpec("fork-join", {"width": 4000, "work": 4},
+                        budget_rule=("makespan-factor", 0.5))
+
+    def test_wide_cell_through_a_runner(self, tmp_path):
+        async def body():
+            async with serving("runner", tmp_path) as server:
+                return await request_sweep_spec(
+                    [self.WIDE], unix_socket=server.unix_socket)
+
+        [slot] = run_async(body())
+        assert slot["report"] is not None
+        assert len(json.dumps(slot)) > 65536
+
+    def test_wide_cell_through_a_cluster_client(self, tmp_path):
+        async def body():
+            async with LocalCluster(1, store_root=str(tmp_path)) as cluster:
+                return await ClusterClient(cluster.addresses()).sweep_specs(
+                    [self.WIDE])
+
+        [slot] = run_async(body())
+        assert slot["report"] is not None
+        assert len(json.dumps(slot)) > 65536
