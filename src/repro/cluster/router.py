@@ -38,8 +38,7 @@ from repro.cluster.ring import (DEFAULT_VNODES, HashRing, moved_key_subset,
                                 moved_keys)
 from repro.cluster.runners import RunnerAddress
 from repro.engine.core import Problem, SolveLimits
-from repro.engine.fingerprint import spec_alias_key
-from repro.engine.plan import build_sweep_plan
+from repro.engine.plan import CellContext, build_sweep_plan, dedup_cells
 from repro.engine.store import SolutionStore, report_to_payload
 from repro.scenarios import ScenarioGrid, ScenarioSpec
 from repro.serve import (PROTOCOL_VERSION, Send, _LineServer, _request_specs,
@@ -387,21 +386,17 @@ class ClusterClient:
         if self.store is None:
             return {}
         try:
-            aliases = [spec_alias_key(spec, method, limits=self.limits,
-                                      validate=self.validate, **options)
-                       for spec in specs]
+            aliases, unique = dedup_cells(specs, CellContext(
+                method, self.limits, self.validate, options))
         except ValidationError:
             return {}
-        unique: Dict[str, ScenarioSpec] = {}
-        for alias, spec in zip(aliases, specs):
-            unique.setdefault(alias, spec)
-        plan = build_sweep_plan(list(unique.items()), method,
+        plan = build_sweep_plan(unique, method,
                                 store=self.store, limits=self.limits,
                                 validate=self.validate, **options)
-        cell_by_alias = {cell.alias: cell for cell in plan.cells}
+        cells = plan.by_alias()
         answered: Dict[int, Dict[str, Any]] = {}
         for index, alias in enumerate(aliases):
-            cell = cell_by_alias[alias]
+            cell = cells[alias]
             if cell.report is None:
                 continue
             line = {"index": index, "key": cell.key, "source": "store",

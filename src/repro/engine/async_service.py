@@ -28,7 +28,9 @@ Declarative scenario batches go through :meth:`AsyncSweepService.submit_specs`
 :class:`~repro.scenarios.spec.ScenarioSpec` records): dedup, in-flight
 sharing and store lookups happen before any DAG exists, and pending cells
 materialize lazily inside the worker shards -- the substrate of the
-``sweep_spec`` wire op in :mod:`repro.serve`.
+``sweep_spec`` wire op in :mod:`repro.serve`.  Both entry points run one
+submission body over the cell steps :mod:`repro.engine.plan` shares with
+:class:`~repro.engine.service.SweepService` (dedup, plan, claim, persist).
 
 Clients receive plain :class:`asyncio.Future` objects (one per scenario
 slot, shared per request key) resolving to
@@ -71,13 +73,24 @@ from repro.engine.core import (
     cached_solution,
     get_solution_store,
     normalize_problem,
-    request_key,
     warm_solution_cache,
 )
-from repro.engine.fingerprint import record_spec_fingerprint, spec_alias_key
-from repro.engine.plan import CELL_MANIFEST_DONE, build_sweep_plan
+from repro.engine.plan import (
+    CELL_MANIFEST_DONE,
+    CellContext,
+    PlannedCell,
+    build_sweep_plan,
+    claim_cells,
+    claim_waits,
+    dedup_cells,
+    persist_shard,
+    recheck_cells,
+    release_claims,
+    shard_outcomes,
+)
 from repro.engine.portfolio import Portfolio
-from repro.engine.service import SweepResult, load_manifest_state, write_manifest
+from repro.engine.service import (ManifestState, SweepResult,
+                                  load_manifest_state, write_manifest)
 from repro.engine.store import (SolutionStore, _is_alias_payload,
                                 report_from_payload)
 from repro.scenarios import ScenarioGrid, ScenarioSpec
@@ -90,11 +103,6 @@ __all__ = ["AsyncSweepService", "AsyncSweepStats", "SubmitTicket",
 #: may serve mixed methods (each request key already encodes its own), so
 #: the manifest is scoped to the service rather than to a single method.
 ASYNC_MANIFEST_METHOD = "async-mixed"
-
-#: Longest an async shard waits on another process's solve claim before
-#: solving the cell itself anyway (correct either way, just duplicated).
-CLAIM_WAIT_SECONDS = 30.0
-_CLAIM_POLL_SECONDS = 0.05
 
 
 @dataclass
@@ -144,42 +152,31 @@ class AsyncSweepStats:
 
 @dataclass
 class _Inflight:
-    """One unique queued/solving request and everyone waiting on it.
+    """One unique queued/solving cell and everyone waiting on it.
 
-    Spec-native submissions (:meth:`AsyncSweepService.submit_specs`) fill
-    ``spec`` instead of ``problem``; their dedup/in-flight ``key`` is the
-    true request fingerprint when already resolved, else the spec alias
-    key -- the worker learns the true fingerprint while materializing and
+    ``key`` is the in-flight dedup key: the cell's request fingerprint
+    when already known, else its identity (a spec alias key).  A spec
+    worker learns the true fingerprint while materializing, and
     :meth:`resolve` passes it through to the waiters' results.
     """
 
     key: str
-    problem: Optional[Problem]
-    method: str
-    options: Dict[str, Any]
-    #: The declarative cell (spec-native submissions only).
-    spec: Optional[ScenarioSpec] = None
-    #: The cell's spec alias key (spec-native submissions only) -- the
-    #: persistent dedup identity, kept so shard completion can write the
-    #: alias entry and manifest cell without recomputing it.
-    alias: Optional[str] = None
-    #: ``(slot index, problem-as-submitted, spec-as-submitted, per-slot
-    #: future)`` per waiter.  The spec is tracked per waiter, not taken
-    #: from the entry: a spec-native waiter may deduplicate onto a
-    #: problem-kind in-flight entry (same request fingerprint) and must
-    #: still get its spec back on the result.
-    waiters: List[Tuple[int, Optional[Problem], Optional[ScenarioSpec],
-                        "asyncio.Future[SweepResult]"]] = \
+    cell: PlannedCell
+    context: CellContext
+    #: ``(slot index, spec-or-problem as submitted, per-slot future)`` per
+    #: waiter.  The item is tracked per waiter, not taken from the cell:
+    #: a spec waiter may deduplicate onto a problem cell in flight (same
+    #: request fingerprint) and must still get its spec back.
+    waiters: List[Tuple[int, Any, "asyncio.Future[SweepResult]"]] = \
         field(default_factory=list)
 
-    def add_waiter(self, index: int, problem: Optional[Problem],
-                   future: "asyncio.Future[SweepResult]",
-                   spec: Optional[ScenarioSpec] = None) -> None:
-        self.waiters.append((index, problem, spec, future))
+    def add_waiter(self, index: int, item: Any,
+                   future: "asyncio.Future[SweepResult]") -> None:
+        self.waiters.append((index, item, future))
 
     def abandoned(self) -> bool:
         """Has every waiter cancelled (nobody wants the answer anymore)?"""
-        return all(future.cancelled() for _, _, _, future in self.waiters)
+        return all(future.cancelled() for _, _, future in self.waiters)
 
     def resolve(self, report: Optional[SolveReport], source: str,
                 error: Optional[str], cache_tier: str = "",
@@ -191,18 +188,16 @@ class _Inflight:
         ``key`` overrides the recorded in-flight key in the delivered
         results (spec entries: the worker-reported request fingerprint).
         """
-        for index, problem, spec, future in self.waiters:
+        for index, item, future in self.waiters:
             if future.done():  # cancelled (or already failed) waiters
                 continue
             copy = None
             if report is not None:
                 copy = _clone_report(report, from_cache=bool(cache_tier),
                                      cache_tier=cache_tier)
-            future.set_result(SweepResult(index=index,
-                                          key=key if key is not None else self.key,
-                                          problem=problem, report=copy,
-                                          source=source, error=error,
-                                          spec=spec))
+            future.set_result(SweepResult.for_slot(
+                index, item, key if key is not None else self.key, copy,
+                source, error))
 
 
 @dataclass
@@ -330,14 +325,10 @@ class AsyncSweepService:
         self._dispatcher: Optional[asyncio.Task] = None
         self._shard_tasks: set = set()
         self._inflight: Dict[str, _Inflight] = {}
-        self._manifest_keys: List[str] = []
-        self._manifest_done: set = set()
-        #: Expanded consultation tokens (done tokens + per-cell
-        #: keys/digests); what resume checks match against.
-        self._manifest_tokens: set = set()
-        #: v2 per-cell identities (``{alias: {"cell", "key"}}``) of every
-        #: completed spec cell -- what a restarted deployment resumes from.
-        self._manifest_cells: Dict[str, Dict[str, str]] = {}
+        #: Resume state of the configured manifest (``None`` without one):
+        #: loaded by :meth:`start`, marked as cells are answered and
+        #: checkpointed after every shard.
+        self._manifest: Optional[ManifestState] = None
         #: Prewarm state (:meth:`warm_cache`): alias key -> request
         #: fingerprint mappings learned from warmed alias entries, and the
         #: fingerprints whose reports were streamed into the tier-1 LRU.
@@ -490,11 +481,8 @@ class AsyncSweepService:
         self._dispatcher = asyncio.create_task(self._dispatch_loop(),
                                                name="repro-async-sweep-dispatch")
         if self.manifest:
-            state = load_manifest_state(self.manifest, ASYNC_MANIFEST_METHOD)
-            self._manifest_done = state.done
-            self._manifest_tokens = set(state.tokens)
-            self._manifest_cells = dict(state.cells)
-            self._manifest_keys = sorted(state.done)
+            self._manifest = load_manifest_state(self.manifest,
+                                                 ASYNC_MANIFEST_METHOD)
         self._started = True
         return self
 
@@ -505,7 +493,7 @@ class AsyncSweepService:
         Zero until :meth:`start` reads the manifest (or when no manifest
         is configured); grows as further cells finish.
         """
-        return len(self._manifest_done)
+        return len(self._manifest.done) if self._manifest is not None else 0
 
     async def __aenter__(self) -> "AsyncSweepService":
         return await self.start()
@@ -519,23 +507,25 @@ class AsyncSweepService:
                 "AsyncSweepService is closed; create a new service to "
                 "submit further scenarios")
 
-    def _record_manifest_cell(self, alias: str, digest: str, key: str) -> None:
-        """Mark a spec cell done in the in-memory resume state.
+    def _mark(self, alias: str, digest: Optional[str],
+              key: Optional[str]) -> None:
+        """Mark an answered cell in the resume state (if one is kept).
 
         Flushed to disk by the next shard checkpoint (or :meth:`aclose`);
         until then the store itself still answers a restart, so nothing
         is lost if the process dies first.
         """
-        if not self.manifest:
-            return
-        if alias not in self._manifest_done:
-            self._manifest_done.add(alias)
-            self._manifest_keys.append(alias)
-        self._manifest_cells[alias] = {"cell": digest, "key": key}
-        self._manifest_tokens.add(alias)
-        self._manifest_tokens.add(digest)
-        if key:
-            self._manifest_tokens.add(key)
+        if self._manifest is not None:
+            self._manifest.mark(alias, digest, key)
+
+    def _checkpoint(self, completed: bool) -> None:
+        """Write the resume manifest (counted, never raised, on failure)."""
+        ok = write_manifest(self.manifest, ASYNC_MANIFEST_METHOD,
+                            sorted(self._manifest.done), self._manifest.done,
+                            completed=completed, cells=self._manifest.cells,
+                            durable=self.durable)
+        if not ok:
+            self.stats.manifest_write_errors += 1
 
     async def drain(self) -> None:
         """Wait until everything queued and in flight has resolved."""
@@ -568,14 +558,8 @@ class AsyncSweepService:
                     # futures hung; finish cleanup, then surface it.
                     dispatcher_error = exc
                 self._dispatcher = None
-            if self.manifest:
-                ok = write_manifest(self.manifest, ASYNC_MANIFEST_METHOD,
-                                    sorted(self._manifest_keys),
-                                    self._manifest_done, completed=True,
-                                    cells=self._manifest_cells,
-                                    durable=self.durable)
-                if not ok:
-                    self.stats.manifest_write_errors += 1
+            if self._manifest is not None:
+                self._checkpoint(completed=True)
             if self._owns_portfolio or self._started_pool:
                 self._portfolio.close()
                 self._started_pool = False
@@ -589,79 +573,17 @@ class AsyncSweepService:
                      **options: Any) -> SubmitTicket:
         """Enqueue a scenario batch; returns futures per slot/request key.
 
-        Resolution order per slot: share an in-flight solve (tier 0), then
-        the persistent store (tier 2), else the request is queued --
+        Resolution order per slot: prewarmed memory, then an in-flight
+        solve of the same cell (tier 0), then the persistent store (tier
+        2, one batched plan pass per batch), else the cell is queued --
         awaiting here is the backpressure point when the queue is full.
         ``options`` must be literal values
         (:func:`~repro.engine.core.request_key` raises otherwise).
         """
         self._require_open()
-        await self.start()
-        loop = asyncio.get_running_loop()
         problems = [normalize_problem(p) for p in scenarios]
-        keys = [request_key(p, method, limits=self.limits,
-                            validate=self.validate, **options)
-                for p in problems]
-        self.stats.batches += 1
-        store = self.store
-        futures: List[asyncio.Future] = []
-        # One store lookup per unique key per batch: duplicate slots of an
-        # already-persisted scenario reuse the fetched report instead of
-        # re-reading the shard from disk on the event loop.
-        fetched: Dict[str, Optional[SolveReport]] = {}
-        for index, (key, problem) in enumerate(zip(keys, problems)):
-            self.stats.requests += 1
-            slot: asyncio.Future = loop.create_future()
-            futures.append(slot)
-            entry = self._inflight.get(key)
-            if entry is not None:
-                self.stats.deduped += 1
-                entry.add_waiter(index, problem, slot)
-                continue
-            if key in self._prewarmed_keys:
-                report = cached_solution(key)
-                if report is not None:
-                    self.stats.prewarm_hits += 1
-                    if key in self._manifest_tokens:
-                        self.stats.resumed += 1
-                    slot.set_result(SweepResult(
-                        index=index, key=key, problem=problem,
-                        report=report, source="memory"))
-                    continue
-            if key in fetched:
-                report = fetched[key]
-            else:
-                report = store.get_report(key) if store is not None else None
-                fetched[key] = report
-            if report is not None:
-                self.stats.store_hits += 1
-                if key in self._manifest_tokens:
-                    self.stats.resumed += 1
-                slot.set_result(SweepResult(
-                    index=index, key=key, problem=problem,
-                    report=_clone_report(report, from_cache=True,
-                                         cache_tier="store"),
-                    source="store"))
-                continue
-            entry = _Inflight(key=key, problem=problem, method=method,
-                              options=dict(options))
-            entry.add_waiter(index, problem, slot)
-            self._inflight[key] = entry
-            try:
-                # Backpressure: a full queue blocks the producer right here.
-                await self._queue.put(entry)
-            except asyncio.CancelledError:
-                # The producer was cancelled at the backpressure point: the
-                # entry never reached the queue, so nothing will ever
-                # dispatch it.  Retract it -- leaving it in ``_inflight``
-                # would dedup every future request for this key onto a dead
-                # entry (a permanent hang).  Waiters that deduplicated onto
-                # it while we blocked are failed, not hung.
-                self._inflight.pop(key, None)
-                entry.resolve(None, "failed",
-                              "submission cancelled while waiting for queue space")
-                raise
-        return SubmitTicket(keys=keys, futures=futures)
+        return await self._submit(problems, CellContext(
+            method, self.limits, self.validate, options))
 
     async def submit_specs(self, scenarios: Union[ScenarioGrid,
                                                   Sequence[ScenarioSpec]],
@@ -685,108 +607,101 @@ class AsyncSweepService:
         cells that failed before materializing.
         """
         self._require_open()
-        await self.start()
-        loop = asyncio.get_running_loop()
         if isinstance(scenarios, ScenarioGrid):
             scenarios = scenarios.expand()
         specs = list(scenarios)
         require(all(isinstance(s, ScenarioSpec) for s in specs),
                 "submit_specs() wants ScenarioSpecs (or a ScenarioGrid); "
                 "use submit() for materialized problems")
+        return await self._submit(specs, CellContext(
+            method, self.limits, self.validate, options))
+
+    async def _submit(self, items: List[Any],
+                      context: CellContext) -> SubmitTicket:
+        """The one submission body behind :meth:`submit` and
+        :meth:`submit_specs`: dedup, prewarm, plan, then walk the slots."""
+        await self.start()
+        loop = asyncio.get_running_loop()
+        identities, unique = dedup_cells(items, context)
         self.stats.batches += 1
-        store = self.store
+        # Prewarm tier: a cell whose fingerprint warm_cache() streamed into
+        # the LRU is answered from memory before the plan is even built --
+        # resolving here (not after) is what makes a warm handoff skip the
+        # store round-trips too.
+        warm: Dict[str, Tuple[str, SolveReport]] = {}
+        if self._prewarmed_keys:
+            for identity, _item in unique:
+                fingerprint = self._warm_keys.get(identity, identity)
+                if fingerprint in self._prewarmed_keys:
+                    report = cached_solution(fingerprint)
+                    if report is not None:
+                        warm[identity] = (fingerprint, report)
+        plan = build_sweep_plan(
+            [(identity, item) for identity, item in unique
+             if identity not in warm],
+            context.method, store=self.store, limits=context.limits,
+            validate=context.validate,
+            manifest_done=(self._manifest.tokens
+                           if self._manifest is not None else None),
+            **context.options)
+        cells = plan.by_alias()
         keys: List[str] = []
         futures: List[asyncio.Future] = []
-        # The incremental planning tier: classify every unique cell of the
-        # batch in one batched store pass (store-hit / alias-hit /
-        # manifest-done / pending) before walking the slots.
-        aliases = [spec_alias_key(spec, method, limits=self.limits,
-                                  validate=self.validate, **options)
-                   for spec in specs]
-        # Prewarm tier: a cell whose alias was learned by warm_cache() and
-        # whose report sits in the warmed LRU is answered from memory
-        # before the plan is even built -- build_sweep_plan probes the
-        # store per cell, so resolving here (not after) is what makes a
-        # warm handoff skip the store round-trips too.
-        warm_answers: Dict[str, Tuple[str, SolveReport]] = {}
-        if self._warm_keys:
-            for alias in aliases:
-                if alias in warm_answers:
-                    continue
-                fingerprint = self._warm_keys.get(alias)
-                if (fingerprint is None
-                        or fingerprint not in self._prewarmed_keys):
-                    continue
-                report = cached_solution(fingerprint)
-                if report is not None:
-                    warm_answers[alias] = (fingerprint, report)
-        unique: Dict[str, ScenarioSpec] = {}
-        for alias, spec in zip(aliases, specs):
-            if alias in warm_answers:
-                continue
-            unique.setdefault(alias, spec)
-        plan = build_sweep_plan(list(unique.items()), method, store=store,
-                                limits=self.limits, validate=self.validate,
-                                manifest_done=self._manifest_tokens, **options)
-        cell_by_alias = {cell.alias: cell for cell in plan.cells}
-        for index, (alias, spec) in enumerate(zip(aliases, specs)):
+        for index, (identity, item) in enumerate(zip(identities, items)):
             self.stats.requests += 1
             slot: asyncio.Future = loop.create_future()
             futures.append(slot)
-            warm = warm_answers.get(alias)
-            if warm is not None:
-                fingerprint, warm_report = warm
+            if identity in warm:
+                fingerprint, report = warm[identity]
                 keys.append(fingerprint)
                 self.stats.prewarm_hits += 1
                 # The warmed answer carries everything a store hit would
                 # have taught us: memoize spec -> fingerprint and mark the
                 # manifest cell done, so restarts and grid diffs see it.
-                record_spec_fingerprint(spec, fingerprint, method,
-                                        limits=self.limits,
-                                        validate=self.validate, **options)
-                self._record_manifest_cell(alias, spec.cell_digest(),
-                                           fingerprint)
-                slot.set_result(SweepResult(
-                    index=index, key=fingerprint, problem=None,
-                    report=_clone_report(warm_report, from_cache=True,
-                                         cache_tier="memory"),
-                    source="memory", spec=spec))
+                context.learn(item, fingerprint)
+                self._mark(identity, (item.cell_digest()
+                                      if isinstance(item, ScenarioSpec)
+                                      else None), fingerprint)
+                slot.set_result(SweepResult.for_slot(
+                    index, item, fingerprint,
+                    _clone_report(report, from_cache=True,
+                                  cache_tier="memory"), "memory"))
                 continue
-            cell = cell_by_alias[alias]
-            inflight_key = cell.key if cell.key is not None else alias
-            keys.append(inflight_key)
+            cell = cells[identity]
+            keys.append(cell.probe)
             # Tier 0: share an in-flight solve -- under either identity
-            # (an unresolved duplicate queued under its alias, or a
-            # resolved one under its true fingerprint).
-            entry_inflight = (self._inflight.get(inflight_key)
-                              or self._inflight.get(alias))
-            if entry_inflight is not None:
+            # (an unresolved spec queued under its alias, or a resolved
+            # cell under its true fingerprint).
+            entry = (self._inflight.get(cell.probe)
+                     or self._inflight.get(identity))
+            if entry is not None:
                 self.stats.deduped += 1
-                entry_inflight.add_waiter(index, None, slot, spec=spec)
+                entry.add_waiter(index, item, slot)
                 continue
             if cell.report is not None:
                 self.stats.store_hits += 1
                 if cell.status == CELL_MANIFEST_DONE:
                     self.stats.resumed += 1
-                self._record_manifest_cell(alias, cell.digest, cell.key or "")
-                slot.set_result(SweepResult(
-                    index=index, key=cell.key, problem=None,
-                    report=_clone_report(cell.report, from_cache=True,
-                                         cache_tier="store"),
-                    source="store", spec=spec))
+                self._mark(identity, cell.digest, cell.key)
+                slot.set_result(SweepResult.for_slot(
+                    index, item, cell.probe,
+                    _clone_report(cell.report, from_cache=True,
+                                  cache_tier="store"), "store"))
                 continue
-            entry = _Inflight(key=inflight_key, problem=None, method=method,
-                              options=dict(options), spec=spec, alias=alias)
-            entry.add_waiter(index, None, slot, spec=spec)
-            self._inflight[inflight_key] = entry
+            entry = _Inflight(key=cell.probe, cell=cell, context=context)
+            entry.add_waiter(index, item, slot)
+            self._inflight[entry.key] = entry
             try:
                 # Backpressure: a full queue blocks the producer right here.
                 await self._queue.put(entry)
             except asyncio.CancelledError:
-                # Same retraction contract as submit(): an entry that never
-                # reached the queue must not dedup future requests onto a
-                # dead in-flight record.
-                self._inflight.pop(inflight_key, None)
+                # The producer was cancelled at the backpressure point: the
+                # entry never reached the queue, so nothing will ever
+                # dispatch it.  Retract it -- leaving it in ``_inflight``
+                # would dedup every future request for this cell onto a
+                # dead entry (a permanent hang).  Waiters that deduplicated
+                # onto it while we blocked are failed, not hung.
+                self._inflight.pop(entry.key, None)
                 entry.resolve(None, "failed",
                               "submission cancelled while waiting for queue space")
                 raise
@@ -805,10 +720,11 @@ class AsyncSweepService:
     # dispatch
     # ------------------------------------------------------------------
     def _group_token(self, entry: _Inflight) -> str:
-        # Spec entries and materialized entries never share a shard: the
-        # executor task shapes differ (spec shards return key triples).
-        kind = "spec" if entry.spec is not None else "problem"
-        return f"{kind}|{entry.method}|{sorted(entry.options.items())!r}"
+        # Spec cells and materialized cells never share a shard: the
+        # executor tasks differ (spec shards materialize in the worker).
+        kind = "spec" if entry.cell.spec is not None else "problem"
+        context = entry.context
+        return f"{kind}|{context.method}|{sorted(context.options.items())!r}"
 
     async def _dispatch_loop(self) -> None:
         """Pop requests, batch compatible ones into shards, hand them to
@@ -837,19 +753,15 @@ class AsyncSweepService:
                 self._shard_tasks.add(task)
                 task.add_done_callback(self._shard_tasks.discard)
 
-    def _resolve_from_store(self, entry: _Inflight, key: str,
-                            report: SolveReport) -> None:
-        """Answer one queued entry from a concurrently-written store row."""
-        self.stats.store_hits += 1
-        self.stats.dup_solves_avoided += 1
-        if entry.spec is not None:
-            record_spec_fingerprint(entry.spec, key, entry.method,
-                                    limits=self.limits,
-                                    validate=self.validate, **entry.options)
-            if entry.alias is not None:
-                self._record_manifest_cell(entry.alias,
-                                           entry.spec.cell_digest(), key)
-        entry.resolve(report, "store", None, cache_tier="store", key=key)
+    def _answer_from_store(self, entries: List[_Inflight]) -> None:
+        """Answer queued entries from concurrently-written store rows."""
+        for entry in entries:
+            cell = entry.cell
+            self.stats.store_hits += 1
+            self.stats.dup_solves_avoided += 1
+            self._mark(cell.alias, cell.digest, cell.key)
+            entry.resolve(cell.report, "store", None, cache_tier="store",
+                          key=cell.probe)
 
     async def _run_shard(self, entries: List[_Inflight]) -> None:
         """Solve one shard in the pool, persist, then resolve waiters.
@@ -859,65 +771,41 @@ class AsyncSweepService:
         future fires can never leave a computed result unpersisted.
 
         Before dispatching, the shard rechecks the store (one batched
-        pass) and claims each still-cold cell: a cell another process
-        solved since submission short-circuits to its report, and a cell
-        another *live* process is solving right now is waited on
-        (bounded by :data:`CLAIM_WAIT_SECONDS`) then re-read -- the
-        cross-runner duplicate-compute fix, counted as
-        ``dup_solves_avoided``.
+        pass) and claims each still-cold cell's identity: a cell another
+        process solved since submission short-circuits to its report, and
+        a cell another *live* process is solving right now is waited on
+        (bounded by :data:`~repro.engine.plan.CLAIM_WAIT_SECONDS`) then
+        rechecked once -- the cross-runner duplicate-compute fix, counted
+        as ``dup_solves_avoided``.
         """
         loop = asyncio.get_running_loop()
         store = self.store
-        claimed: List[str] = []
+        context = entries[0].context
+        by_cell = {id(entry.cell): entry for entry in entries}
+
+        def entries_of(cells: List[PlannedCell]) -> List[_Inflight]:
+            return [by_cell[id(cell)] for cell in cells]
+
+        claimed: List[PlannedCell] = []
         try:
-            spec_shard = entries[0].spec is not None
-            to_solve: List[_Inflight] = entries
-            if store is not None:
-                to_solve = []
-                contended: List[_Inflight] = []
-                recheck = store.get_reports_many([e.key for e in entries])
-                for entry in entries:
-                    true_key, report = recheck.get(entry.key, (None, None))
-                    if report is not None:
-                        self._resolve_from_store(entry, true_key or entry.key,
-                                                 report)
-                    elif store.claim_solve(entry.key):
-                        claimed.append(entry.key)
-                        to_solve.append(entry)
-                    else:
-                        contended.append(entry)
-                if contended:
-                    waited = 0.0
-                    while (waited < CLAIM_WAIT_SECONDS
-                           and any(store.solve_claim_holder(e.key) is not None
-                                   for e in contended)):
-                        await asyncio.sleep(_CLAIM_POLL_SECONDS)
-                        waited += _CLAIM_POLL_SECONDS
-                    recheck = store.get_reports_many(
-                        [e.key for e in contended])
-                    for entry in contended:
-                        true_key, report = recheck.get(entry.key, (None, None))
-                        if report is not None:
-                            self._resolve_from_store(
-                                entry, true_key or entry.key, report)
-                        else:
-                            # Claimant died or overran the wait: solve it
-                            # ourselves (correct, just not deduplicated).
-                            to_solve.append(entry)
-            if not to_solve:
+            answered, missing = recheck_cells(
+                store, context, [entry.cell for entry in entries])
+            self._answer_from_store(entries_of(answered))
+            claimed, contended = claim_cells(store, missing)
+            for delay in claim_waits(store, contended):
+                await asyncio.sleep(delay)
+            answered, missing = recheck_cells(store, context, contended)
+            self._answer_from_store(entries_of(answered))
+            cells = claimed + missing
+            if not cells:
                 return
+            to_solve = entries_of(cells)
             self.stats.shards += 1
             try:
-                if spec_shard:
-                    fn, args = self._portfolio.spec_shard_task(
-                        [e.spec for e in to_solve], to_solve[0].method,
-                        validate=self.validate, **to_solve[0].options)
-                else:
-                    fn, args = self._portfolio.shard_task(
-                        [e.problem for e in to_solve], to_solve[0].method,
-                        validate=self.validate, **to_solve[0].options)
+                fn, args = context.shard_task(self._portfolio, cells)
                 raw = await loop.run_in_executor(self._portfolio.pool,
                                                  fn, *args)
+                outcomes = shard_outcomes(cells, raw)
             except asyncio.CancelledError:
                 # Shutdown mid-flight: the executor work itself cannot be
                 # interrupted (it will finish or die with the pool), but
@@ -926,59 +814,19 @@ class AsyncSweepService:
                     entry.resolve(None, "failed", "service shut down")
                 raise
             except Exception as exc:  # noqa: BLE001 - reported per request
-                raw = None
-                error_text = f"{type(exc).__name__}: {exc}"
-            # Normalize both shard shapes to (true_key, report, error):
-            # spec workers report each cell's request fingerprint learned
-            # while materializing; problem shards already know theirs.
-            if raw is None:
-                outcomes = [(None, None, error_text)] * len(to_solve)
-            elif spec_shard:
-                outcomes = list(raw)
-            else:
-                outcomes = [(entry.key, report, error)
-                            for entry, (report, error) in zip(to_solve, raw)]
+                outcomes = [(None, None, f"{type(exc).__name__}: {exc}")
+                            for _cell in cells]
 
-            if store is not None:
-                store.put_reports([(key, report)
-                                   for key, report, _err in outcomes
-                                   if report is not None])
-                if spec_shard:
-                    # Persist the spec->fingerprint aliases so future spec
-                    # submissions resolve store keys without a DAG build.
-                    store.put_many(
-                        [(entry.alias, {"alias_of": key})
-                         for entry, (key, report, _err) in zip(to_solve, outcomes)
-                         if report is not None and entry.alias is not None])
-            if spec_shard:
-                for entry, (key, _report, _err) in zip(to_solve, outcomes):
-                    if key is not None:
-                        record_spec_fingerprint(entry.spec, key, entry.method,
-                                                limits=self.limits,
-                                                validate=self.validate,
-                                                **entry.options)
-            if self.manifest:
-                fresh = False
-                for entry, (key, report, _err) in zip(to_solve, outcomes):
-                    if report is None:
-                        continue
+            persist_shard(store, context, cells, outcomes)
+            release_claims(store, claimed)
+            claimed = []
+            fresh = False
+            for cell, (key, report, _error) in zip(cells, outcomes):
+                if report is not None:
                     fresh = True
-                    if entry.spec is not None and entry.alias is not None:
-                        self._record_manifest_cell(
-                            entry.alias, entry.spec.cell_digest(), key or "")
-                    elif key is not None and key not in self._manifest_done:
-                        self._manifest_done.add(key)
-                        self._manifest_tokens.add(key)
-                        self._manifest_keys.append(key)
-                if fresh:
-                    ok = write_manifest(self.manifest, ASYNC_MANIFEST_METHOD,
-                                        sorted(self._manifest_keys),
-                                        self._manifest_done,
-                                        completed=False,
-                                        cells=self._manifest_cells,
-                                        durable=self.durable)
-                    if not ok:
-                        self.stats.manifest_write_errors += 1
+                    self._mark(cell.alias, cell.digest, key)
+            if fresh and self._manifest is not None:
+                self._checkpoint(completed=False)
             for entry, (key, report, error) in zip(to_solve, outcomes):
                 if report is not None:
                     self.stats.computed += 1
@@ -987,9 +835,7 @@ class AsyncSweepService:
                     self.stats.failed += 1
                     entry.resolve(None, "failed", error, key=key)
         finally:
-            if store is not None:
-                for key in claimed:
-                    store.release_solve_claim(key)
+            release_claims(store, claimed)
             for entry in entries:
                 self._inflight.pop(entry.key, None)
                 self._queue.task_done()

@@ -459,11 +459,11 @@ class Portfolio:
 
         The returned pair is executor-agnostic: pass it to any submission
         primitive (``pool.submit(fn, *args)``,
-        ``loop.run_in_executor(pool, fn, *args)``).  This is the
-        non-blocking hook the asyncio serving layer
-        (:class:`~repro.engine.async_service.AsyncSweepService`) builds on;
-        the callable returns a list of ``(report, error_text)`` pairs, one
-        per scenario, in order.
+        ``loop.run_in_executor(pool, fn, *args)``).  Both sweep services
+        build their problem shards through it
+        (:meth:`repro.engine.plan.CellContext.shard_task`); the callable
+        returns a list of ``(report, error_text)`` pairs, one per scenario,
+        in order.
         """
         self._require_open("shard_task()")
         problems = [normalize_problem(p) for p in problems]
@@ -475,10 +475,8 @@ class Portfolio:
         """Submit one scenario shard to the *persistent* pool (see start()).
 
         Returns the :class:`~concurrent.futures.Future` of a list of
-        ``(report, error_text)`` pairs, one per scenario, in order.  This is
-        the streaming building block used by
-        :class:`~repro.engine.service.SweepService`, which consumes shard
-        futures as they complete rather than in submission order.
+        ``(report, error_text)`` pairs, one per scenario, in order, for
+        callers that consume shard futures as they complete.
         """
         self._require_open("submit_shard()")
         require(self._pool is not None,
@@ -504,19 +502,3 @@ class Portfolio:
                     for spec in specs]
         return _solve_spec_shard_task, (payloads, method, self.limits,
                                         options, validate)
-
-    def submit_spec_shard(self, specs: Sequence[Any], method: str = "auto",
-                          validate: bool = True, **options: Any) -> Future:
-        """Submit one spec shard to the *persistent* pool (see start()).
-
-        Returns the :class:`~concurrent.futures.Future` of the
-        ``(request_key, report, error_text)`` triples of
-        :meth:`spec_shard_task` -- the building block of the spec-native
-        :meth:`~repro.engine.service.SweepService.sweep` path.
-        """
-        self._require_open("submit_spec_shard()")
-        require(self._pool is not None,
-                "submit_spec_shard() needs a persistent pool; call start() "
-                "first (or use the portfolio as a context manager)")
-        fn, args = self.spec_shard_task(specs, method, validate, **options)
-        return self._pool.submit(fn, *args)

@@ -13,9 +13,11 @@ in, and the service
 2. **consults the persistent store** -- scenarios already solved by any
    previous run, process or machine sharing the store are answered from
    disk without touching a solver;
-3. **shards the rest** -- pending scenarios are partitioned into shards
-   sized to the portfolio's worker pool
-   (:meth:`~repro.engine.portfolio.Portfolio.shard_plan`) and submitted to
+3. **claims and shards the rest** -- pending scenarios are claimed
+   against concurrent processes sharing the store (the one claim
+   protocol of :mod:`repro.engine.plan`), partitioned into shards sized
+   to the portfolio's worker pool
+   (:func:`~repro.engine.plan.recommend_shard_size`) and submitted to
    its *warm* executors; inside each worker the shard is solved through
    :func:`repro.engine.batch.solve_lp_batch`, which groups scenarios by
    DAG fingerprint so the structure probe and the LP model skeleton are
@@ -61,6 +63,7 @@ import json
 import logging
 import os
 import time
+from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -72,13 +75,20 @@ from repro.engine.core import (
     _clone_report,
     get_solution_store,
     normalize_problem,
-    request_key,
 )
-from repro.engine.fingerprint import record_spec_fingerprint, spec_alias_key
 from repro.engine.plan import (
     CELL_MANIFEST_DONE,
+    CellContext,
+    PlannedCell,
     build_sweep_plan,
+    claim_cells,
+    claim_waits,
+    dedup_cells,
+    persist_shard,
+    recheck_cells,
     recommend_shard_size,
+    release_claims,
+    shard_outcomes,
 )
 from repro.engine.portfolio import Portfolio
 from repro.engine.store import SolutionStore, atomic_write_json
@@ -87,7 +97,7 @@ from repro.utils.validation import require
 
 __all__ = ["SweepService", "SweepResult", "SweepStats", "SweepReport",
            "ManifestState", "MANIFEST_SCHEMA_VERSION",
-           "load_manifest_done", "load_manifest_state", "write_manifest"]
+           "load_manifest_state", "write_manifest"]
 
 logger = logging.getLogger(__name__)
 
@@ -131,6 +141,22 @@ class ManifestState:
 
     def __post_init__(self) -> None:
         self.tokens |= self.done
+
+    def mark(self, alias: str, digest: Optional[str],
+             key: Optional[str]) -> None:
+        """Record one answered cell (identity, spec digest, fingerprint).
+
+        A materialized-problem cell has no digest: its identity is its
+        request key, recorded in ``done`` only.  A spec cell also gets
+        its v2 ``cells`` row.
+        """
+        self.done.add(alias)
+        self.tokens.add(alias)
+        if digest is not None:
+            self.cells[alias] = {"cell": digest, "key": key or ""}
+            self.tokens.add(digest)
+            if key:
+                self.tokens.add(key)
 
 
 def load_manifest_state(path: str, method: str) -> ManifestState:
@@ -185,11 +211,6 @@ def load_manifest_state(path: str, method: str) -> ManifestState:
                              completed=completed,
                              schema=MANIFEST_SCHEMA_VERSION)
     return ManifestState()
-
-
-def load_manifest_done(path: str, method: str) -> set:
-    """Completion tokens of a compatible manifest (compat wrapper)."""
-    return load_manifest_state(path, method).tokens
 
 
 def write_manifest(path: str, method: str, keys: List[str],
@@ -254,6 +275,16 @@ class SweepResult:
     error: Optional[str] = None
     #: The declarative cell this result answers (spec-native sweeps only).
     spec: Optional[ScenarioSpec] = None
+
+    @classmethod
+    def for_slot(cls, index: int, item: Any, key: str,
+                 report: Optional[SolveReport], source: str,
+                 error: Optional[str] = None) -> "SweepResult":
+        """One slot's result; ``item`` is the spec or problem it submitted."""
+        spec = item if isinstance(item, ScenarioSpec) else None
+        return cls(index=index, key=key,
+                   problem=item if spec is None else None, report=report,
+                   source=source, error=error, spec=spec)
 
 
 @dataclass
@@ -366,7 +397,7 @@ class SweepService:
         self.oversubscription = oversubscription
         self.validate = validate
         self.last_stats: Optional[SweepStats] = None
-        #: The classification of the most recent spec-native sweep
+        #: The classification of the most recent sweep
         #: (:class:`~repro.engine.plan.SweepPlan`), for observability.
         self.last_plan = None
         self._closed = False
@@ -384,20 +415,6 @@ class SweepService:
     @property
     def portfolio(self) -> Portfolio:
         return self._portfolio
-
-    @staticmethod
-    def kernel_info() -> dict:
-        """Work counters of the batched kernel layer (``docs/performance.md``).
-
-        Counters are per process: with a thread-executor portfolio they
-        reflect this service's sweeps directly; with the (default)
-        process-executor portfolio the shard work happens in the worker
-        processes, so the calling process only sees the skeletons and
-        probes it built itself (dedup, store lookups).
-        """
-        from repro.engine.batch import batch_kernel_info
-
-        return batch_kernel_info()
 
     def _warm_pool(self) -> Portfolio:
         if self._portfolio.pool is None:
@@ -437,10 +454,6 @@ class SweepService:
     # ------------------------------------------------------------------
     # manifest
     # ------------------------------------------------------------------
-    def _load_manifest_state(self, path: str, method: str) -> ManifestState:
-        """Resume state recorded by a compatible (v1 or v2) manifest."""
-        return load_manifest_state(path, method)
-
     def _write_manifest(self, path: str, method: str, keys: List[str],
                         done: set, completed: bool, *,
                         cells: Optional[Dict[str, Dict[str, str]]] = None,
@@ -470,7 +483,9 @@ class SweepService:
         memory is one shard of DAGs regardless of grid size.
 
         Store-served scenarios are yielded first (in batch order), then
-        computed ones as their shards finish (shard completion order).
+        computed ones as their shards finish (shard completion order);
+        a cell another process was solving is yielded from the store once
+        its claim wait ends.
         Closing the generator early cancels unstarted shards and -- with
         ``manifest=`` -- leaves a checkpoint from which the next sweep
         resumes.  The generator's return value is the :class:`SweepStats`
@@ -482,321 +497,157 @@ class SweepService:
         self._require_open()
         if isinstance(scenarios, ScenarioGrid):
             scenarios = scenarios.expand()
-        scenarios = list(scenarios)
-        if scenarios and isinstance(scenarios[0], ScenarioSpec):
-            require(all(isinstance(s, ScenarioSpec) for s in scenarios),
-                    "do not mix ScenarioSpecs and materialized problems in "
-                    "one sweep")
-            return self._sweep_specs_iter(scenarios, method,
-                                          manifest=manifest,
-                                          shard_size=shard_size, **options)
-        return self._sweep_iter(scenarios, method, manifest=manifest,
-                                shard_size=shard_size, **options)
+        items = list(scenarios)
+        specs = sum(isinstance(item, ScenarioSpec) for item in items)
+        require(specs in (0, len(items)),
+                "do not mix ScenarioSpecs and materialized problems in one "
+                "sweep")
+        if not specs:
+            items = [normalize_problem(problem) for problem in items]
+        return self._sweep_cells(
+            items, CellContext(method, self.limits, self.validate, options),
+            manifest=manifest, shard_size=shard_size)
 
-    def _sweep_iter(self, scenarios: Sequence[Problem], method: str, *,
-                    manifest: Optional[str], shard_size: Optional[int],
-                    **options: Any) -> Iterator[SweepResult]:
-        """The generator behind :meth:`sweep` (which checks closed-ness
-        eagerly, at call time rather than on first ``next()``)."""
-        start_time = time.perf_counter()
-        problems = [normalize_problem(p) for p in scenarios]
-        stats = SweepStats(scenarios=len(problems))
-        self.last_stats = stats
+    def _sweep_cells(self, items: List[Any], context: CellContext, *,
+                     manifest: Optional[str], shard_size: Optional[int]
+                     ) -> Iterator[SweepResult]:
+        """The sweep generator behind :meth:`sweep` (which checks its
+        arguments eagerly, at call time rather than on first ``next()``).
 
-        # -- dedup by request key ---------------------------------------
-        keys: List[str] = [
-            request_key(p, method, limits=self.limits, validate=self.validate,
-                        **options)
-            for p in problems
-        ]
-        groups: Dict[str, List[int]] = {}
-        unique_keys: List[str] = []
-        for index, key in enumerate(keys):
-            if key not in groups:
-                groups[key] = []
-                unique_keys.append(key)
-            groups[key].append(index)
-        stats.unique = len(unique_keys)
-        stats.duplicates = stats.scenarios - stats.unique
+        Phases, the same for specs and problems:
 
-        manifest_done = (self._load_manifest_state(manifest, method).tokens
-                         if manifest else set())
-        done: set = set()
-        store = self.store
-
-        # -- tier-2 lookup (one batched store pass) ---------------------
-        pending: List[str] = []
-        found = (store.get_reports_many(unique_keys)
-                 if store is not None else {})
-        try:
-            for key in unique_keys:
-                _resolved, report = found.get(key, (None, None))
-                if report is None:
-                    pending.append(key)
-                    continue
-                stats.store_hits += 1
-                if key in manifest_done:
-                    stats.resumed += 1
-                done.add(key)
-                for index in groups[key]:
-                    # Each slot gets its own defensive copy (consumers may
-                    # edit allocations in place; duplicates must not alias).
-                    yield SweepResult(index=index, key=key,
-                                      problem=problems[index],
-                                      report=_clone_report(report, from_cache=True,
-                                                           cache_tier="store"),
-                                      source="store")
-
-            # -- shard + compute ------------------------------------------
-            if pending:
-                portfolio = self._warm_pool()
-                size = shard_size or recommend_shard_size(
-                    len(pending), portfolio.worker_count(),
-                    oversubscription=self.oversubscription,
-                    hit_rate=stats.store_hits / stats.unique if stats.unique else 0.0)
-                stats.shard_size = size
-                shard_keys = _chunk(pending, size)
-                futures = {}
-                for shard in shard_keys:
-                    shard_problems = [problems[groups[key][0]] for key in shard]
-                    future = portfolio.submit_shard(shard_problems, method,
-                                                    validate=self.validate,
-                                                    **options)
-                    futures[future] = shard
-                stats.shards = len(futures)
-                try:
-                    for future in as_completed(futures):
-                        shard = futures.pop(future)
-                        outcomes = list(zip(shard, future.result()))
-                        # One bulk store write per completed shard, before
-                        # any result is yielded (a consumer closing the
-                        # generator must not lose this shard's persistence).
-                        if store is not None:
-                            store.put_reports([(key, report)
-                                               for key, (report, _err) in outcomes
-                                               if report is not None])
-                        for key, (report, error) in outcomes:
-                            problem = problems[groups[key][0]]
-                            if report is not None:
-                                stats.computed += 1
-                                done.add(key)
-                                source, err = "computed", None
-                            else:
-                                stats.failed += 1
-                                source, err = "failed", error
-                            for index in groups[key]:
-                                copy = (_clone_report(report, from_cache=False)
-                                        if report is not None else None)
-                                yield SweepResult(index=index, key=key,
-                                                  problem=problem,
-                                                  report=copy, source=source,
-                                                  error=err)
-                        if manifest:
-                            self._write_manifest(manifest, method, unique_keys,
-                                                 done, completed=False,
-                                                 stats=stats)
-                finally:
-                    for future in futures:
-                        future.cancel()
-        finally:
-            stats.wall_time = time.perf_counter() - start_time
-            if manifest:
-                completed = len(done) + stats.failed >= stats.unique
-                self._write_manifest(manifest, method, unique_keys, done,
-                                     completed=completed, stats=stats)
-        return stats
-
-    def _sweep_specs_iter(self, specs: List[ScenarioSpec], method: str, *,
-                          manifest: Optional[str], shard_size: Optional[int],
-                          **options: Any) -> Iterator[SweepResult]:
-        """The spec-native sweep generator (see :meth:`sweep`).
-
-        Phases:
-
-        1. **dedup, no DAGs** -- cells are grouped by
-           :func:`~repro.engine.fingerprint.spec_alias_key` (pure spec
-           content);
+        1. **dedup, no DAGs** -- slots are grouped by cell identity
+           (:func:`~repro.engine.plan.dedup_cells`);
         2. **plan, no DAGs** -- every unique cell is classified in one
-           batched store pass (:func:`~repro.engine.plan.build_sweep_plan`)
-           into store-hit / alias-hit / manifest-done / pending; done
-           cells are yielded immediately, and pending cells are claimed
-           against concurrent processes (a contended cell gets one more
-           store look -- ``dup_solves_avoided``);
-        3. **lazy compute** -- pending cells are sharded *as specs*
-           (:meth:`Portfolio.submit_spec_shard`) with a shard size picked
-           from the plan's pending count and measured hit rate; workers
-           materialize inside their shard and report each cell's request
-           fingerprint back, which is persisted as the alias the next
-           sweep's plan will hit.
+           batched store pass (:func:`~repro.engine.plan.build_sweep_plan`);
+           done cells are yielded immediately;
+        3. **claim** -- pending cells are claimed against concurrent
+           processes; claimed cells are sharded and submitted at once,
+           then contended cells are waited on (finishing shards are
+           consumed meanwhile), rechecked in one batch and solved here
+           only if still missing (``dup_solves_avoided`` otherwise);
+        4. **compute** -- shards are sized from the plan's pending count
+           and hit rate; spec shards materialize inside the workers, which
+           report each cell's fingerprint back.  Each finished shard is
+           persisted, its claims released and the manifest checkpointed
+           before its results are yielded.
         """
         start_time = time.perf_counter()
-        stats = SweepStats(scenarios=len(specs))
+        stats = SweepStats(scenarios=len(items))
         self.last_stats = stats
-
-        aliases: List[str] = [
-            spec_alias_key(spec, method, limits=self.limits,
-                           validate=self.validate, **options)
-            for spec in specs
-        ]
-        groups: Dict[str, List[int]] = {}
-        unique_aliases: List[str] = []
-        for index, alias in enumerate(aliases):
-            if alias not in groups:
-                groups[alias] = []
-                unique_aliases.append(alias)
-            groups[alias].append(index)
-        stats.unique = len(unique_aliases)
+        identities, unique = dedup_cells(items, context)
+        slots: Dict[str, List[int]] = {}
+        for index, identity in enumerate(identities):
+            slots.setdefault(identity, []).append(index)
+        stats.unique = len(unique)
         stats.duplicates = stats.scenarios - stats.unique
 
-        manifest_state = (self._load_manifest_state(manifest, method)
-                          if manifest else ManifestState())
-        done: set = set()
-        done_cells: Dict[str, Dict[str, str]] = {}
+        resume = (load_manifest_state(manifest, context.method)
+                  if manifest else ManifestState())
+        progress = ManifestState()
         store = self.store
-
-        # -- the incremental planning tier: classify every unique cell in
-        #    one batched store pass before any shard is formed.
         plan = build_sweep_plan(
-            [(alias, specs[groups[alias][0]]) for alias in unique_aliases],
-            method, store=store, limits=self.limits, validate=self.validate,
-            manifest_done=manifest_state.tokens, **options)
+            unique, context.method, store=store, limits=context.limits,
+            validate=context.validate, manifest_done=resume.tokens,
+            **context.options)
         self.last_plan = plan
-        cell_by_alias = {cell.alias: cell for cell in plan.cells}
-        claimed: List[str] = []
-        try:
-            for cell in plan.done:
+        futures: Dict[Any, List[PlannedCell]] = {}
+        held: Dict[str, PlannedCell] = {}
+
+        def answer(cell: PlannedCell, key: str, report: Optional[SolveReport],
+                   source: str, error: Optional[str] = None
+                   ) -> Iterator[SweepResult]:
+            for index in slots[cell.alias]:
+                # Each slot gets its own defensive copy (consumers may edit
+                # allocations in place; duplicates must not alias).
+                copy = None
+                if report is not None:
+                    copy = (_clone_report(report, from_cache=True,
+                                          cache_tier="store")
+                            if source == "store"
+                            else _clone_report(report, from_cache=False))
+                yield SweepResult.for_slot(index, items[index], key, copy,
+                                           source, error)
+
+        def answer_from_store(cells: List[PlannedCell]) -> Iterator[SweepResult]:
+            for cell in cells:
                 stats.store_hits += 1
                 if cell.status == CELL_MANIFEST_DONE:
                     stats.resumed += 1
-                done.add(cell.alias)
-                done_cells[cell.alias] = {"cell": cell.digest,
-                                          "key": cell.key or ""}
-                for index in groups[cell.alias]:
-                    yield SweepResult(index=index, key=cell.key, problem=None,
-                                      report=_clone_report(cell.report,
-                                                           from_cache=True,
-                                                           cache_tier="store"),
-                                      source="store", spec=specs[index])
+                progress.mark(cell.alias, cell.digest, cell.key)
+                yield from answer(cell, cell.probe, cell.report, "store")
 
-            pending = [cell.alias for cell in plan.pending]
+        def finish(completed: Iterator[Any]) -> Iterator[SweepResult]:
+            for future in completed:
+                shard = futures.pop(future)
+                outcomes = shard_outcomes(shard, future.result())
+                # Persist before yielding: a consumer closing the generator
+                # must not lose this shard's reports or alias rows.
+                persist_shard(store, context, shard, outcomes)
+                release_claims(store, [held.pop(cell.alias) for cell in shard
+                                       if cell.alias in held])
+                for cell, (key, report, error) in zip(shard, outcomes):
+                    key = key if key is not None else cell.alias
+                    if report is not None:
+                        stats.computed += 1
+                        progress.mark(cell.alias, cell.digest, key)
+                        yield from answer(cell, key, report, "computed")
+                    else:
+                        stats.failed += 1
+                        yield from answer(cell, key, None, "failed", error)
+                if manifest:
+                    self._write_manifest(manifest, context.method, list(slots),
+                                         progress.done, completed=False,
+                                         cells=progress.cells, stats=stats)
 
-            # -- cross-process dedup: claim each pending cell; a cell some
-            #    live process already claimed gets one more (batched) store
-            #    look before we solve it ourselves -- if the claimant
-            #    finished, this sweep short-circuits to its report.
-            if store is not None and pending:
-                contended = {alias for alias in pending
-                             if not store.claim_solve(alias)}
-                claimed = [alias for alias in pending
-                           if alias not in contended]
-                if contended:
-                    recheck = store.get_reports_many(list(contended))
-                    still_pending: List[str] = []
-                    for alias in pending:
-                        if alias not in contended:
-                            still_pending.append(alias)
-                            continue
-                        true_key, report = recheck.get(alias, (None, None))
-                        if report is None:
-                            # Claimant still running (or died mid-solve):
-                            # solving it ourselves stays correct, just not
-                            # deduplicated.
-                            still_pending.append(alias)
-                            continue
-                        cell = cell_by_alias[alias]
-                        if true_key is not None:
-                            record_spec_fingerprint(
-                                cell.spec, true_key, method,
-                                limits=self.limits, validate=self.validate,
-                                **options)
-                        stats.store_hits += 1
-                        stats.dup_solves_avoided += 1
-                        done.add(alias)
-                        done_cells[alias] = {"cell": cell.digest,
-                                             "key": true_key or ""}
-                        for index in groups[alias]:
-                            yield SweepResult(
-                                index=index, key=true_key or alias,
-                                problem=None,
-                                report=_clone_report(report, from_cache=True,
-                                                     cache_tier="store"),
-                                source="store", spec=specs[index])
-                    pending = still_pending
-
+        try:
+            yield from answer_from_store(plan.done)
+            pending = plan.pending
+            claimed, contended = claim_cells(store, pending)
+            held.update((cell.alias, cell) for cell in claimed)
+            size = 1
             if pending:
                 portfolio = self._warm_pool()
                 size = shard_size or recommend_shard_size(
                     len(pending), portfolio.worker_count(),
                     oversubscription=self.oversubscription,
-                    hit_rate=stats.store_hits / stats.unique if stats.unique else 0.0)
+                    hit_rate=plan.hit_rate)
                 stats.shard_size = size
-                futures = {}
-                for shard in _chunk(pending, size):
-                    shard_specs = [specs[groups[alias][0]] for alias in shard]
-                    future = portfolio.submit_spec_shard(shard_specs, method,
-                                                         validate=self.validate,
-                                                         **options)
-                    futures[future] = shard
-                stats.shards = len(futures)
+
+            def submit(cells: List[PlannedCell]) -> None:
+                for shard in _chunk(cells, size):
+                    fn, args = context.shard_task(self._portfolio, shard)
+                    futures[self._portfolio.pool.submit(fn, *args)] = shard
+                    stats.shards += 1
+
+            submit(claimed)
+            # Contended cells: keep finishing our own shards while their
+            # holders are alive, then recheck once and solve what is
+            # still missing.
+            for delay in claim_waits(store, contended):
+                if not futures:
+                    time.sleep(delay)
+                    continue
                 try:
-                    for future in as_completed(futures):
-                        shard = futures.pop(future)
-                        outcomes = list(zip(shard, future.result()))
-                        # Persist reports AND the spec->key aliases before
-                        # yielding: the aliases are what make the *next*
-                        # sweep's store lookups DAG-free.
-                        if store is not None:
-                            store.put_reports(
-                                [(key, report)
-                                 for _alias, (key, report, _err) in outcomes
-                                 if report is not None])
-                            store.put_many(
-                                [(alias, {"alias_of": key})
-                                 for alias, (key, report, _err) in outcomes
-                                 if report is not None])
-                        for alias, (key, report, error) in outcomes:
-                            spec = specs[groups[alias][0]]
-                            if key is not None:
-                                record_spec_fingerprint(
-                                    spec, key, method, limits=self.limits,
-                                    validate=self.validate, **options)
-                            if report is not None:
-                                stats.computed += 1
-                                done.add(alias)
-                                done_cells[alias] = {
-                                    "cell": cell_by_alias[alias].digest,
-                                    "key": key or ""}
-                                source, err = "computed", None
-                            else:
-                                stats.failed += 1
-                                source, err = "failed", error
-                            for index in groups[alias]:
-                                copy = (_clone_report(report, from_cache=False)
-                                        if report is not None else None)
-                                yield SweepResult(index=index,
-                                                  key=key if key is not None else alias,
-                                                  problem=None, report=copy,
-                                                  source=source, error=err,
-                                                  spec=specs[index])
-                        if manifest:
-                            self._write_manifest(manifest, method,
-                                                 unique_aliases, done,
-                                                 completed=False,
-                                                 cells=done_cells,
-                                                 stats=stats)
-                finally:
-                    for future in futures:
-                        future.cancel()
+                    yield from finish(as_completed(list(futures),
+                                                   timeout=delay))
+                except FuturesTimeout:
+                    pass
+            answered, missing = recheck_cells(store, context, contended)
+            stats.dup_solves_avoided += len(answered)
+            yield from answer_from_store(answered)
+            submit(missing)
+            yield from finish(as_completed(list(futures)))
         finally:
             stats.wall_time = time.perf_counter() - start_time
-            if store is not None:
-                for alias in claimed:
-                    store.release_solve_claim(alias)
+            for future in futures:
+                future.cancel()
+            release_claims(store, held.values())
             if manifest:
-                completed = len(done) + stats.failed >= stats.unique
-                self._write_manifest(manifest, method, unique_aliases, done,
-                                     completed=completed, cells=done_cells,
-                                     stats=stats)
+                completed = len(progress.done) + stats.failed >= stats.unique
+                self._write_manifest(manifest, context.method, list(slots),
+                                     progress.done, completed=completed,
+                                     cells=progress.cells, stats=stats)
         return stats
 
     def run(self, scenarios: Union[Sequence[Problem], Sequence[ScenarioSpec],

@@ -429,6 +429,110 @@ class TestSolveClaims:
         assert stats.dup_solves_avoided == 1
         assert stats.computed == 0 and stats.shards == 0
 
+    def test_sync_problem_dup_solve_short_circuits_to_store(self, tmp_path,
+                                                            monkeypatch):
+        problems = [spec.materialize() for spec in make_specs([2, 3])]
+        with thread_service(tmp_path / "warm") as warm:
+            donor = {r.key: r.report for r in warm.run(problems).results}
+        clear_caches()
+        store = SolutionStore(str(tmp_path / "store"))
+
+        def lose_claim_to_a_finisher(key):
+            # A problem cell's identity is its request key: the claimant
+            # finished and stored the report before our recheck.
+            store.put(key, report_to_payload(donor[key], key))
+            return False
+
+        monkeypatch.setattr(store, "claim_solve", lose_claim_to_a_finisher)
+        with SweepService(store=store,
+                          portfolio=Portfolio(executor="thread",
+                                              max_workers=2)) as service:
+            report = service.run(problems)
+        assert report.stats.dup_solves_avoided == 2
+        assert report.stats.computed == 0
+        assert all(r.source == "store" for r in report.results)
+
+    def test_sync_sweeps_with_crossed_claims_finish_without_stalling(
+            self, tmp_path, monkeypatch):
+        # Two sweeps each claim one cell and find the other's cell claimed.
+        # Each must finish (and release) its own shard while it waits, so
+        # both end well inside the claim wait with no cell solved twice.
+        from repro.engine.plan import CLAIM_WAIT_SECONDS
+        first, second = make_specs([2, 3])
+        barrier = threading.Barrier(2, timeout=10)
+        outcomes = {}
+
+        def sweep(name, specs):
+            store = SolutionStore(str(tmp_path / "store"))
+            claim = store.claim_solve
+            calls = []
+
+            def claim_in_lockstep(key):
+                got = claim(key)
+                calls.append(key)
+                if len(calls) == 1:
+                    barrier.wait()   # both first claims land first
+                return got
+
+            monkeypatch.setattr(store, "claim_solve", claim_in_lockstep)
+            with SweepService(store=store,
+                              portfolio=Portfolio(executor="thread",
+                                                  max_workers=2)) as service:
+                outcomes[name] = service.run(specs)
+
+        started = time.monotonic()
+        threads = [threading.Thread(target=sweep, args=args, daemon=True)
+                   for args in (("a", [first, second]),
+                                ("b", [second, first]))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() - started < CLAIM_WAIT_SECONDS / 3
+        for report in outcomes.values():
+            assert report.stats.computed == 1
+            assert report.stats.dup_solves_avoided == 1
+            assert all(r.report is not None for r in report.results)
+
+    def test_async_memoized_spec_waits_on_alias_claim(self, tmp_path):
+        # A spec cell is claimed under its alias even when this process
+        # already memoized its request fingerprint, so a sync sweep's live
+        # alias claim is waited on instead of solved a second time.
+        from repro.engine.fingerprint import (record_spec_fingerprint,
+                                              spec_alias_key)
+        spec = make_specs([3])[0]
+        with thread_service(tmp_path / "warm") as warm:
+            donor = warm.run([spec]).results[0]
+        clear_caches()
+        record_spec_fingerprint(spec, donor.key, "auto")
+        alias = spec_alias_key(spec, "auto")
+        store = SolutionStore(str(tmp_path / "store"))
+        assert store.claim_solve(alias)
+
+        def finish_elsewhere():
+            time.sleep(0.3)
+            store.put_reports([(donor.key, donor.report)])
+            store.put_many([(alias, {"alias_of": donor.key})])
+            store.release_solve_claim(alias)
+
+        async def body():
+            service = AsyncSweepService(
+                store=str(tmp_path / "store"),
+                portfolio=Portfolio(executor="thread", max_workers=2))
+            async with service:
+                threading.Thread(target=finish_elsewhere,
+                                 daemon=True).start()
+                ticket = await service.submit_specs([spec])
+                results = await ticket.results()
+                return results, service.stats
+
+        results, stats = run_async(body())
+        assert results[0].source == "store"
+        assert results[0].key == donor.key
+        assert stats.dup_solves_avoided == 1
+        assert stats.computed == 0 and stats.shards == 0
+
 
 # ---------------------------------------------------------------------------
 # Router-side planning: only pending cells cross the cluster wire

@@ -9,6 +9,10 @@ drives one ``sweep_spec`` through each front with the hooks installed and
 checks both spans were recorded under their wire request ids.  It runs in
 a subprocess because the hooks patch the package process-wide.  CI runs
 this file under pytest-timeout in the concurrency-stress job.
+
+The same driver also runs one ``SweepService`` and one
+``AsyncSweepService`` sweep, each with a manifest, and the second test
+checks every engine span the per-layer table reads was recorded.
 """
 
 from __future__ import annotations
@@ -31,12 +35,29 @@ DRIVER = textwrap.dedent("""
     spans.install(tracer)
 
     from repro.cluster import ClusterClient, LocalCluster, RouterServer
+    from repro.engine import AsyncSweepService, Portfolio, SweepService
     from repro.scenarios import ScenarioSpec
     from repro.serve import request_sweep_spec
 
     def cell(width):
         return ScenarioSpec("fork-join", {"width": width, "work": 4},
                             budget_rule=("makespan-factor", 0.5))
+
+    def pool():
+        return Portfolio(executor="thread", max_workers=2)
+
+    with SweepService(store=sys.argv[2] + "/sync-store",
+                      portfolio=pool()) as service:
+        service.run([cell(4), cell(5)], manifest=sys.argv[2] + "/sync.json")
+
+    async def submit_specs():
+        async with AsyncSweepService(store=sys.argv[2] + "/async-store",
+                                     portfolio=pool(),
+                                     manifest=sys.argv[2] + "/async.json"
+                                     ) as service:
+            await (await service.submit_specs([cell(6)])).results()
+
+    asyncio.run(submit_specs())
 
     async def main():
         async with LocalCluster(1, store_root=sys.argv[2] + "/store") as cluster:
@@ -50,8 +71,32 @@ DRIVER = textwrap.dedent("""
                                          request_id="via-router")
 
     asyncio.run(main())
+    print(json.dumps(sorted(tracer.summary()["names"])))
     print(json.dumps(tracer.summary()["by_request"]))
 """)
+
+#: Engine spans ``perfbench/layers.py`` reads; a driver path that stops
+#: calling a hooked name would zero its row of the per-layer table.
+ENGINE_SPANS = {
+    "engine.plan", "engine.service.sweep", "engine.service.manifest",
+    "engine.portfolio.wait", "engine.portfolio.shard",
+    "engine.async_service.submit", "engine.async_service.shard",
+    "engine.async_service.manifest",
+}
+
+
+def _drive(tmp_path):
+    """Run the driver in a fresh interpreter; its stdout lines."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", DRIVER, os.path.join(ROOT, "perfbench"),
+         str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()
 
 
 def test_span_hooks_record_both_fronts(tmp_path):
@@ -71,3 +116,8 @@ def test_span_hooks_record_both_fronts(tmp_path):
     assert router_ids == {"via-router"}
     # the router's sub-request reached the runner's traced handler too
     assert len(runner_ids) == 2
+
+
+def test_span_hooks_record_engine_layers(tmp_path):
+    names = set(json.loads(_drive(tmp_path)[-2]))
+    assert ENGINE_SPANS <= names, sorted(ENGINE_SPANS - names)
