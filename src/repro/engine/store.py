@@ -10,20 +10,20 @@ installed with :func:`repro.engine.core.set_solution_store`; the
 On-disk format (see ``docs/caching.md`` for the full specification):
 
 * ``<root>/meta.json`` -- store-level metadata (schema version, creator);
-* ``<root>/shards/<prefix>.rps`` -- the **packed binary v2** shard format
-  (the default): a fixed-width, key-sorted record table (key bytes +
-  insertion sequence + payload offset/length + flags) followed by a
-  payload region of per-entry JSON blobs.  A ``get()`` binary-searches the
-  record table and decodes *one* payload; alias entries
-  (``{"alias_of": key}``) keep their target in the payload region as raw
-  key bytes and resolve without any JSON decode; :meth:`SolutionStore.scan`
-  streams every entry in one pass, skipping alias payloads untouched.
-* ``<root>/shards/<prefix>.json`` -- the legacy sharded-JSON v1 format,
-  still fully readable *and* writable (``shard_format="json"``); each blob
-  is ``{"schema": 1, "entries": {request_key: payload}}``.  The format is
-  negotiated per shard file, so mixed stores work; a write rewrites its
-  shard in the store's configured format and :meth:`SolutionStore.migrate`
-  converts a whole store at once.
+* ``<root>/shards/<prefix>.rps`` -- the one shard format, **packed binary
+  v2**: a fixed-width, key-sorted record table (key bytes + insertion
+  sequence + payload offset/length + flags) followed by a payload region
+  of per-entry JSON blobs.  A ``get()`` binary-searches the record table
+  and decodes *one* payload; alias entries (``{"alias_of": key}``) keep
+  their target in the payload region as raw key bytes and resolve without
+  any JSON decode; :meth:`SolutionStore.scan` streams every entry in one
+  pass, skipping alias payloads untouched.
+
+Legacy sharded-JSON v1 shards (``<prefix>.json`` blobs of
+``{"schema": 1, "entries": {request_key: payload}}``) are never read in
+place: opening a store that still holds any runs :meth:`SolutionStore.migrate`,
+a one-shot importer that rewrites each one as a packed shard (a shard
+whose import write fails is imported by its next write instead).
 
 Guarantees:
 
@@ -46,8 +46,8 @@ Guarantees:
   store-wide compaction election (the same lock machinery); a store
   that loses the election skips the run (``compactions_skipped``) so
   only one runner compacts a shared store at a time;
-* **corruption tolerance** -- a truncated/unparseable shard (either
-  format) or a schema mismatch is counted (``info()``) and treated as
+* **corruption tolerance** -- a truncated/unparseable shard (packed or
+  legacy) or a schema mismatch is counted (``info()``) and treated as
   empty: the affected requests recompute and the next write repairs the
   shard; nothing crashes;
 * **bounded shards** -- each shard keeps at most ``max_entries_per_shard``
@@ -83,7 +83,7 @@ import tempfile
 import threading
 import time
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # POSIX advisory record locks; gated so non-posix hosts still import
     import fcntl
@@ -101,7 +101,6 @@ from repro.utils.validation import require
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
-    "STORE_SCHEMA_V1",
     "SolutionStore",
     "report_to_payload",
     "report_from_payload",
@@ -109,16 +108,16 @@ __all__ = [
 ]
 
 #: Version of the on-disk payload layout.  ``2`` is the packed binary shard
-#: format; ``1`` (legacy sharded JSON) stays fully readable and writable.
-#: Entries written under an *unknown* version are ignored (recomputed),
-#: never misread.
+#: format; ``1`` (legacy sharded JSON) is imported on open.  Entries
+#: written under an *unknown* version are ignored (recomputed), never
+#: misread.
 STORE_SCHEMA_VERSION = 2
 
 #: The legacy sharded-JSON schema (the only schema JSON shard blobs carry).
-STORE_SCHEMA_V1 = 1
+_STORE_SCHEMA_V1 = 1
 
 #: Schema versions this code can read; anything else is a mismatch.
-_KNOWN_SCHEMAS = (STORE_SCHEMA_V1, STORE_SCHEMA_VERSION)
+_KNOWN_SCHEMAS = (_STORE_SCHEMA_V1, STORE_SCHEMA_VERSION)
 
 # ---------------------------------------------------------------------------
 # packed binary shard format (v2)
@@ -150,6 +149,11 @@ class _ShardSchemaMismatch(Exception):
     """A binary shard written under an unknown format version."""
 
 
+#: What a mangled record or payload raises on decode (per-entry corruption).
+_DECODE_ERRORS = (_ShardCorrupt, struct.error, UnicodeDecodeError,
+                  json.JSONDecodeError, ValueError)
+
+
 def _is_alias_payload(payload: Dict[str, Any]) -> bool:
     return len(payload) == 1 and isinstance(payload.get("alias_of"), str)
 
@@ -157,9 +161,8 @@ def _is_alias_payload(payload: Dict[str, Any]) -> bool:
 def _pack_shard(entries: Dict[str, Dict[str, Any]]) -> bytes:
     """Serialize ``entries`` (values carry ``__seq__``) into a v2 shard.
 
-    Raises ``TypeError``/``ValueError`` for unpackable keys or payloads --
-    the same failure class the JSON writer raises, which callers already
-    count as skipped writes.
+    Raises ``TypeError``/``ValueError`` for unpackable keys or payloads,
+    which callers count as skipped writes.
     """
     encoded: List[Tuple[bytes, int, bytes, int]] = []
     for key in sorted(entries):
@@ -592,10 +595,6 @@ class SolutionStore:
         insertion sequence first) until the cap holds again.  ``None``
         (the default) disables the GC; :meth:`compact` can still be called
         manually with an explicit target.
-    shard_format:
-        ``"binary"`` (default) writes the packed v2 shard format;
-        ``"json"`` writes the legacy v1 sharded JSON.  *Reads* always
-        negotiate per shard file, so either handle serves a mixed store.
     durable:
         Fsync shard and meta writes (temp file before the rename, shard
         directory after it).  Off by default -- atomicity alone already
@@ -616,21 +615,18 @@ class SolutionStore:
     def __init__(self, root: str, *, max_entries_per_shard: int = 4096,
                  shard_width: int = 2, cache_shards: bool = True,
                  max_total_entries: Optional[int] = None,
-                 shard_format: str = "binary", durable: bool = False,
-                 locking: bool = True, lock_timeout: float = 10.0):
+                 durable: bool = False, locking: bool = True,
+                 lock_timeout: float = 10.0):
         require(max_entries_per_shard > 0, "max_entries_per_shard must be positive")
         require(1 <= shard_width <= 8, "shard_width must be in [1, 8]")
         require(max_total_entries is None or max_total_entries > 0,
                 "max_total_entries must be positive (or None to disable the GC)")
-        require(shard_format in ("binary", "json"),
-                "shard_format must be 'binary' or 'json'")
         require(lock_timeout > 0, "lock_timeout must be positive")
         self.root = os.path.abspath(root)
         self.max_entries_per_shard = max_entries_per_shard
         self.shard_width = shard_width
         self.cache_shards = cache_shards
         self.max_total_entries = max_total_entries
-        self.shard_format = shard_format
         self.durable = durable
         self.locking = locking
         self.lock_timeout = lock_timeout
@@ -638,14 +634,24 @@ class SolutionStore:
         #: instances opened through different paths still serialise.
         self._lock_root = os.path.realpath(self.root)
         self._shards: Dict[str, Dict[str, Any]] = {}
-        #: Lazy binary readers: shard id -> reader (only shards whose sole
-        #: on-disk form is packed v2; anything mixed falls back to a full
-        #: decode).  Invalidated together with ``_shards``.
+        #: Lazy packed readers: shard id -> reader.  Invalidated together
+        #: with ``_shards``.
         self._readers: Dict[str, _PackedShardReader] = {}
         #: Shards whose packed blob failed to open (corrupt / unknown
         #: version): remembered so the failure is counted once, not on
         #: every lookup.  Cleared when the shard is rewritten.
         self._failed_readers: set = set()
+        #: Shards whose v1 ``.json`` blob failed to import (its write
+        #: failed): shard id -> highest insertion sequence of the merge.
+        #: Every write to such a shard merges the blob in first and
+        #: unlinks it once the packed shard is written, and the sequence
+        #: floor starts above it, so the blob can neither outrank a later
+        #: write nor bring back what one removed.
+        self._pending_imports: Dict[str, int] = {}
+        #: ``meta.json`` predates the one-format store (schema 1, or it
+        #: names a ``shard_format``): rewritten once every legacy shard is
+        #: imported.
+        self._stale_meta = False
         #: On-disk identity of each cached shard at the moment it was
         #: read (see :meth:`_shard_signature`).  A lookup that misses in
         #: the cache compares against this to detect rewrites by *other*
@@ -668,8 +674,8 @@ class SolutionStore:
         self.schema_mismatches = 0
         self.skipped_writes = 0
         # Decode/scan accounting (the raw-speed counters benchmarks gate
-        # on): how many JSON *shard files* were fully parsed, how many
-        # individual payload blobs were JSON-decoded, how many alias
+        # on): how many legacy JSON *shard files* the importer parsed, how
+        # many individual payload blobs were JSON-decoded, how many alias
         # entries resolved straight from the record table, and the bulk
         # scan traffic.
         self.full_shard_parses = 0
@@ -713,6 +719,8 @@ class SolutionStore:
         if self.locking:
             os.makedirs(self._lock_dir, exist_ok=True)
         self._write_meta_if_absent()
+        if self._stale_meta or self._shard_ids(".json"):
+            self.migrate()
 
     # ------------------------------------------------------------------
     # layout helpers
@@ -771,48 +779,37 @@ class SolutionStore:
                 f"store keys must be strings of >= {self.shard_width} chars")
         return key[:self.shard_width]
 
-    def _json_path(self, shard_id: str) -> str:
-        return os.path.join(self._shard_dir, f"{shard_id}.json")
-
     def _binary_path(self, shard_id: str) -> str:
         return os.path.join(self._shard_dir, f"{shard_id}.rps")
 
-    def _shard_files(self, shard_id: str) -> Tuple[bool, bool]:
-        """``(has_json, has_binary)`` for one shard id."""
-        return (os.path.exists(self._json_path(shard_id)),
-                os.path.exists(self._binary_path(shard_id)))
+    def _legacy_path(self, shard_id: str) -> str:
+        return os.path.join(self._shard_dir, f"{shard_id}.json")
 
-    @staticmethod
-    def _stat_sig(path: str) -> Optional[Tuple[int, int, int]]:
+    def _shard_signature(self, shard_id: str) -> Optional[Tuple[int, int, int]]:
+        """On-disk identity of one shard: ``(st_ino, st_size, st_mtime_ns)``,
+        or ``None`` for an absent file.
+
+        Every store write goes through an atomic temp-file + rename, which
+        allocates a fresh inode, so a rewrite by any process -- including
+        same-size, same-mtime ones -- always changes the signature.
+        """
         try:
-            stat = os.stat(path)
+            stat = os.stat(self._binary_path(shard_id))
         except OSError:
             return None
         return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
-
-    def _shard_signature(self, shard_id: str) -> Tuple[Optional[Tuple[int, int, int]],
-                                                       Optional[Tuple[int, int, int]]]:
-        """On-disk identity of one shard: ``(json_sig, binary_sig)``.
-
-        Each side is ``(st_ino, st_size, st_mtime_ns)`` or ``None`` for
-        an absent file.  Every store write goes through an atomic
-        temp-file + rename, which allocates a fresh inode, so a rewrite
-        by any process -- including same-size, same-mtime ones -- always
-        changes the signature.
-        """
-        return (self._stat_sig(self._json_path(shard_id)),
-                self._stat_sig(self._binary_path(shard_id)))
 
     def _write_meta_if_absent(self) -> None:
         if os.path.exists(self._meta_path):
             try:
                 with open(self._meta_path, "r", encoding="utf-8") as handle:
                     meta = json.load(handle)
-                # Version negotiation: v1 and v2 stores are both first-class
-                # (shard formats are negotiated per file); only an *unknown*
-                # schema counts as a mismatch.
+                # A v1 meta.json is known (its shards are imported on
+                # open); only an *unknown* schema counts as a mismatch.
                 if meta.get("schema") not in _KNOWN_SCHEMAS:
                     self.schema_mismatches += 1
+                self._stale_meta = (meta.get("schema") == _STORE_SCHEMA_V1
+                                    or "shard_format" in meta)
                 # The layout on disk wins: reopening with a different
                 # shard_width must not orphan the existing shards.
                 stored_width = meta.get("shard_width")
@@ -821,56 +818,34 @@ class SolutionStore:
             except (OSError, json.JSONDecodeError, AttributeError):
                 self.corrupt_shards += 1
             return
+        self._write_meta()
+
+    def _write_meta(self) -> None:
         atomic_write_json(self._meta_path, {
             "schema": STORE_SCHEMA_VERSION,
             "format": "repro-solution-store/packed-v2",
             "shard_width": self.shard_width,
-            "shard_format": self.shard_format,
         }, fsync=self.durable)
+        self._stale_meta = False
 
     # ------------------------------------------------------------------
     # shard IO
     # ------------------------------------------------------------------
-    def _load_json_entries(self, shard_id: str) -> Dict[str, Any]:
-        """Fully parse one v1 JSON shard blob (corruption decays to empty)."""
-        path = self._json_path(shard_id)
-        entries: Dict[str, Any] = {}
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                blob = json.load(handle)
-            self.full_shard_parses += 1
-            if not isinstance(blob, dict) or not isinstance(blob.get("entries"), dict):
-                raise ValueError("malformed shard blob")
-            if blob.get("schema") != STORE_SCHEMA_V1:
-                self.schema_mismatches += 1
-            else:
-                # Entry values must be payload dicts; anything else is
-                # per-entry corruption (counted, skipped, repaired on
-                # the shard's next write).
-                entries = {k: v for k, v in blob["entries"].items()
-                           if isinstance(v, dict)}
-                if len(entries) != len(blob["entries"]):
-                    self.corrupt_shards += 1
-        except (OSError, json.JSONDecodeError, ValueError):
-            self.corrupt_shards += 1
-        return entries
-
     def _reader(self, shard_id: str) -> Optional[_PackedShardReader]:
-        """The (cached) packed reader for one v2 shard, or ``None``."""
+        """The (cached) packed reader for one shard, or ``None``."""
         reader = self._readers.get(shard_id)
         if reader is not None:
             return reader
         if shard_id in self._failed_readers:
             return None
-        path = self._binary_path(shard_id)
-        if not os.path.exists(path):
-            return None
         # Signature taken *before* the open: if the file is swapped
         # mid-open we record the older identity and the next miss simply
         # revalidates again (conservative, never stale-forever).
         signature = self._shard_signature(shard_id)
+        if signature is None:
+            return None
         try:
-            reader = _PackedShardReader(path)
+            reader = _PackedShardReader(self._binary_path(shard_id))
             self.binary_shard_opens += 1
         except _ShardSchemaMismatch:
             self.schema_mismatches += 1
@@ -885,88 +860,100 @@ class SolutionStore:
             self._shard_sigs[shard_id] = signature
         return reader
 
-    def _decode_record(self, reader: _PackedShardReader,
-                       index: int) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """``(key, entry-with-__seq__)`` for one record; ``None`` on
-        per-entry corruption (counted)."""
+    def _decode_record(self, reader: _PackedShardReader, index: int, *,
+                       include_aliases: bool = True,
+                       accept: Optional[Callable[[str], bool]] = None,
+                       ) -> Optional[Tuple[str, int, Dict[str, Any]]]:
+        """``(key, seq, payload)`` of one record, or ``None``.
+
+        The one record decoder behind lookups, full shard loads and both
+        scans.  An alias yields ``{"alias_of": target}`` straight from its
+        blob; ``include_aliases=False`` skips it unread
+        (``scan_alias_skips``).  ``accept(route_key)`` filters *before*
+        any JSON decode -- the route key is the record key, or the target
+        for an alias.  Per-entry corruption returns ``None`` (counted).
+        """
         try:
             key, seq, offset, length, flags = reader.record(index)
-            blob = reader.blob(offset, length)
-            if flags & _FLAG_ALIAS:
-                payload: Dict[str, Any] = {"alias_of": blob.decode("utf-8")}
-            else:
-                payload = json.loads(blob.decode("utf-8"))
-                self.payload_decodes += 1
-                if not isinstance(payload, dict):
-                    raise ValueError("payload is not an object")
-        except (_ShardCorrupt, struct.error, UnicodeDecodeError,
-                json.JSONDecodeError, ValueError):
+            alias = bool(flags & _FLAG_ALIAS)
+            if alias and not include_aliases:
+                self.scan_alias_skips += 1
+                return None
+            route_key = reader.blob(offset, length).decode("utf-8") if alias else key
+        except _DECODE_ERRORS:
             self.corrupt_shards += 1
             return None
-        entry = dict(payload)
-        entry["__seq__"] = seq
-        return key, entry
-
-    def _load_binary_entries(self, shard_id: str) -> Dict[str, Any]:
-        """Fully decode one packed shard (the write/compact/migrate path)."""
-        reader = self._reader(shard_id)
-        entries: Dict[str, Any] = {}
-        if reader is None:
-            return entries
-        for index in range(reader.count):
-            decoded = self._decode_record(reader, index)
-            if decoded is not None:
-                entries[decoded[0]] = decoded[1]
-        return entries
+        if accept is not None and not accept(route_key):
+            return None
+        if alias:
+            return key, seq, {"alias_of": route_key}
+        try:
+            payload = json.loads(reader.blob(offset, length).decode("utf-8"))
+            self.payload_decodes += 1
+            if not isinstance(payload, dict):
+                raise ValueError("payload is not an object")
+        except _DECODE_ERRORS:
+            self.corrupt_shards += 1
+            return None
+        return key, seq, payload
 
     def _load_shard(self, shard_id: str) -> Dict[str, Any]:
-        """Entries of one shard, fully decoded; corruption decays to empty.
-
-        Negotiates the format per file.  When both a ``.json`` and a
-        ``.rps`` blob exist (a crash between a format-converting rewrite
-        and the old file's unlink), the two are merged with the higher
-        insertion sequence winning per key.
-        """
+        """Entries of one shard, fully decoded; corruption decays to empty."""
         if self.cache_shards and shard_id in self._shards:
             return self._shards[shard_id]
         # Signature before the read, so a concurrent rewrite makes the
         # cached copy look stale (and reload) rather than current.
         signature = self._shard_signature(shard_id)
-        has_json, has_binary = self._shard_files(shard_id)
         entries: Dict[str, Any] = {}
-        if has_json:
-            entries = self._load_json_entries(shard_id)
-        if has_binary:
-            for key, entry in self._load_binary_entries(shard_id).items():
-                current = entries.get(key)
-                if (current is None or current.get("__seq__", 0)
-                        <= entry.get("__seq__", 0)):
+        reader = self._reader(shard_id)
+        if reader is not None:
+            for index in range(reader.count):
+                decoded = self._decode_record(reader, index)
+                if decoded is not None:
+                    key, seq, entry = decoded
+                    entry["__seq__"] = seq
                     entries[key] = entry
         if self.cache_shards:
             self._shards[shard_id] = entries
             self._shard_sigs[shard_id] = signature
         return entries
 
-    def _write_shard(self, shard_id: str, entries: Dict[str, Any]) -> None:
-        """Rewrite one shard in the store's configured format (atomic).
+    def _fresh_entries(self, shard_id: str) -> Dict[str, Any]:
+        """A mutable copy of one shard as on disk, for a read-modify-write
+        under the shard's held lock.
 
-        The other-format file, if any, is removed *after* the new blob is
-        in place -- a crash in between leaves both, which reads merge by
-        sequence number.
+        While the shard's v1 ``.json`` blob awaits import, its entries are
+        merged in by insertion sequence -- newest wins, which is also how
+        a crash between a v1 rewrite and the old blob's unlink resolves --
+        and :meth:`_write_shard` unlinks the blob once the merge is
+        written.
         """
-        if self.shard_format == "binary":
-            _atomic_write_bytes(self._binary_path(shard_id),
-                                _pack_shard(entries), fsync=self.durable)
-            stale = self._json_path(shard_id)
-        else:
-            atomic_write_json(self._json_path(shard_id),
-                              {"schema": STORE_SCHEMA_V1, "entries": entries},
-                              fsync=self.durable)
-            stale = self._binary_path(shard_id)
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
+        self._invalidate_shard(shard_id)
+        entries = dict(self._load_shard(shard_id))
+        if shard_id in self._pending_imports:
+            for key, entry in self._read_legacy_shard(shard_id).items():
+                current = entries.get(key)
+                if (current is None or current.get("__seq__", 0)
+                        < entry.get("__seq__", 0)):
+                    entries[key] = entry
+        return entries
+
+    def _write_shard(self, shard_id: str, entries: Dict[str, Any]) -> None:
+        """Rewrite one shard as a packed blob (atomic).
+
+        Completes a pending import: the v1 blob that :meth:`_fresh_entries`
+        merged into ``entries`` is unlinked.
+        """
+        _atomic_write_bytes(self._binary_path(shard_id),
+                            _pack_shard(entries), fsync=self.durable)
+        if shard_id in self._pending_imports:
+            try:
+                os.unlink(self._legacy_path(shard_id))
+                self.migrated_shards += 1
+            except FileNotFoundError:  # a concurrent opener imported it
+                pass
+            del self._pending_imports[shard_id]
+            self._entry_total = None  # the merge added entries; rescan
         self._readers.pop(shard_id, None)
         self._failed_readers.discard(shard_id)
         if self.cache_shards:
@@ -994,21 +981,15 @@ class SolutionStore:
     def _shard_stats(self, shard_id: str) -> Tuple[int, int]:
         """``(entry count, max seq)`` of one shard, as cheaply as possible.
 
-        Pure-binary shards answer from the record table without a single
-        payload decode; JSON (or mixed) shards pay the full parse they
-        would pay anyway.
+        An uncached shard answers from its record table without a single
+        payload decode.
         """
         if self.cache_shards and shard_id in self._shards:
             entries = self._shards[shard_id]
             return len(entries), max((e.get("__seq__", 0)
                                       for e in entries.values()), default=0)
-        has_json, has_binary = self._shard_files(shard_id)
-        if has_binary and not has_json:
-            reader = self._reader(shard_id)
-            return reader.seq_stats() if reader is not None else (0, 0)
-        entries = self._load_shard(shard_id)
-        return len(entries), max((e.get("__seq__", 0)
-                                  for e in entries.values()), default=0)
+        reader = self._reader(shard_id)
+        return reader.seq_stats() if reader is not None else (0, 0)
 
     def _seq_floor_scan(self) -> None:
         """One full-store scan establishing the sequence floor and count.
@@ -1021,7 +1002,7 @@ class SolutionStore:
         cross-process ordering is approximate (exactly like the shared
         read-modify-write window documented in ``docs/caching.md``).
         """
-        floor = 0
+        floor = max(self._pending_imports.values(), default=0)
         total = 0
         for shard_id in self._shard_ids():
             count, max_seq = self._shard_stats(shard_id)
@@ -1062,12 +1043,11 @@ class SolutionStore:
         entry = self._lookup_once(shard_id, key)
         if entry is not None or not self.cache_shards:
             return entry
-        recorded = self._shard_sigs.get(shard_id)
-        if recorded is None:
+        if shard_id not in self._shard_sigs:
             # Nothing cached for this shard -- the miss came straight
             # from disk and is genuine.
             return None
-        if self._shard_signature(shard_id) == recorded:
+        if self._shard_signature(shard_id) == self._shard_sigs[shard_id]:
             return None
         self._invalidate_shard(shard_id)
         entry = self._lookup_once(shard_id, key)
@@ -1078,32 +1058,28 @@ class SolutionStore:
     def _lookup_once(self, shard_id: str, key: str) -> Optional[Dict[str, Any]]:
         """One lookup pass, trusting whatever shard state is cached.
 
-        The fast path: a pure-binary shard resolves through the packed
-        record table -- a binary search plus at most one payload decode
-        (none at all for alias entries).  JSON or mixed shards fall back
-        to the full decode they always required.
+        The fast path resolves through the packed record table -- a
+        binary search plus at most one payload decode (none at all for
+        alias entries).
         """
         if self.cache_shards and shard_id in self._shards:
             return self._shards[shard_id].get(key)
-        has_json, has_binary = self._shard_files(shard_id)
-        if has_binary and not has_json:
-            reader = self._reader(shard_id)
-            if reader is None:
-                return None
-            cached = reader.decoded.get(key)
-            if cached is not None:
-                return cached
-            index = reader.find(key)
-            if index is None:
-                return None
-            decoded = self._decode_record(reader, index)
-            if decoded is None:
-                return None
-            if decoded[1].keys() == {"alias_of", "__seq__"}:
-                self.alias_fast_hits += 1
-            reader.decoded[key] = decoded[1]
-            return decoded[1]
-        return self._load_shard(shard_id).get(key)
+        reader = self._reader(shard_id)
+        if reader is None:
+            return None
+        cached = reader.decoded.get(key)
+        if cached is not None:
+            return cached
+        index = reader.find(key)
+        decoded = None if index is None else self._decode_record(reader, index)
+        if decoded is None:
+            return None
+        _key, seq, entry = decoded
+        if _is_alias_payload(entry):
+            self.alias_fast_hits += 1
+        entry["__seq__"] = seq
+        reader.decoded[key] = entry
+        return entry
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` (counted as a miss)."""
@@ -1141,9 +1117,9 @@ class SolutionStore:
                         # revalidates against disk; later misses in the
                         # same shard trust the (now fresh) cache.
                         revalidated = True
-                        recorded = self._shard_sigs.get(shard_id)
-                        if recorded is not None and \
-                                self._shard_signature(shard_id) != recorded:
+                        if shard_id in self._shard_sigs and \
+                                self._shard_signature(shard_id) \
+                                != self._shard_sigs[shard_id]:
                             self._invalidate_shard(shard_id)
                             entry = self._lookup_once(shard_id, key)
                             if entry is not None:
@@ -1210,8 +1186,7 @@ class SolutionStore:
             # atomic write, counted in ``lock_timeouts``).
             held = self._guard(shard_id)
             try:
-                self._invalidate_shard(shard_id)
-                entries = dict(self._load_shard(shard_id))
+                entries = self._fresh_entries(shard_id)
                 fresh = key not in entries
                 entry = dict(payload)
                 entry["__seq__"] = self._allocate_seq()
@@ -1250,8 +1225,7 @@ class SolutionStore:
             for shard_id, pairs in by_shard.items():
                 held = self._guard(shard_id)
                 try:
-                    self._invalidate_shard(shard_id)
-                    entries = dict(self._load_shard(shard_id))
+                    entries = self._fresh_entries(shard_id)
                     fresh = 0
                     for key, payload in pairs:
                         fresh += key not in entries
@@ -1467,8 +1441,7 @@ class SolutionStore:
                     # carried, never clobbered.
                     held = self._guard(shard_id)
                     try:
-                        self._invalidate_shard(shard_id)
-                        entries = dict(self._load_shard(shard_id))
+                        entries = self._fresh_entries(shard_id)
                         removed = [key for key in victims[shard_id]
                                    if key in entries]
                         for key in removed:
@@ -1496,30 +1469,40 @@ class SolutionStore:
                 if election is not None:
                     election.release()
 
-    def migrate(self, target_format: Optional[str] = None) -> Dict[str, int]:
-        """Rewrite every shard into ``target_format`` (default: the store's
-        configured ``shard_format``).
+    def migrate(self) -> Dict[str, int]:
+        """Import every legacy v1 ``.json`` shard as a packed shard.
 
-        The v1 -> v2 upgrade path (and, symmetrically, the v2 -> v1
-        escape hatch): each shard is fully decoded -- whatever format it
-        is in -- and rewritten atomically in the target format, preserving
-        every payload and the global insertion sequence bit for bit.
-        ``meta.json`` is refreshed afterwards.  Returns
-        ``{"shards": rewritten, "entries": carried, "failed": skipped}``;
-        failed shard rewrites keep their old blob (counted in
-        ``skipped_writes`` as usual) so a partial migration is still a
-        fully readable mixed-format store.
+        The one-shot v1 -> v2 importer, run automatically when a store is
+        opened over a root that still holds ``.json`` shards (or an older
+        ``meta.json``), and the only code that parses them.  Per shard,
+        under that shard's advisory lock, it re-checks that the ``.json``
+        file is still there (a concurrent opener may have imported it
+        already), merges it with any ``.rps`` file of the same shard by
+        insertion sequence (:meth:`_fresh_entries`), writes the packed
+        shard and unlinks the ``.json`` file.  Payloads and insertion
+        sequences carry over bit for bit.  A corrupt or unknown-schema
+        blob imports as empty or partial (counted in ``corrupt_shards`` /
+        ``schema_mismatches``).  A failed write keeps the ``.json`` file
+        (counted in ``skipped_writes``): its entries read as misses, and
+        the next write to that shard -- or a later open -- retries the
+        import.  Once no shard is left to import, an older ``meta.json``
+        (schema 1, or naming a ``shard_format``) is rewritten as schema 2.  Returns ``{"shards": imported,
+        "entries": carried, "failed": failed}``; imported shards are also
+        counted in ``migrated_shards``.
         """
-        target = target_format if target_format is not None else self.shard_format
-        require(target in ("binary", "json"),
-                "target_format must be 'binary' or 'json'")
         with self._lock:
-            previous_format = self.shard_format
-            self.shard_format = target
             shards = entries_carried = failed = 0
-            try:
-                for shard_id in self._shard_ids():
-                    entries = dict(self._load_shard(shard_id))
+            for shard_id in self._shard_ids(".json"):
+                held = self._guard(shard_id)
+                try:
+                    if not os.path.exists(self._legacy_path(shard_id)):
+                        self._pending_imports.pop(shard_id, None)
+                        continue
+                    self._pending_imports[shard_id] = 0
+                    entries = self._fresh_entries(shard_id)
+                    self._pending_imports[shard_id] = max(
+                        (entry.get("__seq__", 0) for entry in entries.values()),
+                        default=0)
                     try:
                         self._write_shard(shard_id, entries)
                     except (OSError, TypeError, ValueError):
@@ -1527,23 +1510,46 @@ class SolutionStore:
                         self._invalidate_shard(shard_id)
                         failed += 1
                         continue
-                    shards += 1
-                    entries_carried += len(entries)
-                    self.migrated_shards += 1
-            except BaseException:
-                self.shard_format = previous_format
-                raise
-            try:
-                atomic_write_json(self._meta_path, {
-                    "schema": STORE_SCHEMA_VERSION,
-                    "format": "repro-solution-store/packed-v2",
-                    "shard_width": self.shard_width,
-                    "shard_format": self.shard_format,
-                }, fsync=self.durable)
-            except OSError:
-                self.skipped_writes += 1
+                finally:
+                    if held is not None:
+                        held.release()
+                shards += 1
+                entries_carried += len(entries)
+            if self._stale_meta and not self._pending_imports:
+                try:
+                    self._write_meta()
+                except OSError:
+                    self.skipped_writes += 1
+            # Merging doubled shards may have shrunk the store, and imported
+            # sequences may lie above this handle's counter: rescan lazily.
+            self._entry_total = None
+            self._next_seq = None
             return {"shards": shards, "entries": entries_carried,
                     "failed": failed}
+
+    def _read_legacy_shard(self, shard_id: str) -> Dict[str, Any]:
+        """Parse one v1 ``.json`` shard blob (corruption decays to empty)."""
+        entries: Dict[str, Any] = {}
+        try:
+            with open(self._legacy_path(shard_id), "r", encoding="utf-8") as handle:
+                blob = json.load(handle)
+            self.full_shard_parses += 1
+            if not isinstance(blob, dict) or not isinstance(blob.get("entries"), dict):
+                raise ValueError("malformed shard blob")
+            if blob.get("schema") != _STORE_SCHEMA_V1:
+                self.schema_mismatches += 1
+            else:
+                # Entry values must be payload dicts; anything else is
+                # per-entry corruption (counted and dropped).
+                entries = {k: v for k, v in blob["entries"].items()
+                           if isinstance(v, dict)}
+                if len(entries) != len(blob["entries"]):
+                    self.corrupt_shards += 1
+        except FileNotFoundError:  # imported by a concurrent opener
+            pass
+        except (OSError, json.JSONDecodeError, ValueError):
+            self.corrupt_shards += 1
+        return entries
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -1561,16 +1567,14 @@ class SolutionStore:
             self._entry_total = total
             return total
 
-    def _shard_ids(self):
+    def _shard_ids(self, suffix: str = ".rps") -> List[str]:
+        """Ids of the shards with a ``<id><suffix>`` blob (one ``listdir``)."""
         try:
             names = os.listdir(self._shard_dir)
         except OSError:
             return []
-        ids = {name[:-5] for name in names
-               if name.endswith(".json") and not name.startswith(".tmp-")}
-        ids.update(name[:-4] for name in names
-                   if name.endswith(".rps") and not name.startswith(".tmp-"))
-        return sorted(ids)
+        return sorted(name[:-len(suffix)] for name in names
+                      if name.endswith(suffix) and not name.startswith(".tmp-"))
 
     def payloads(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
         """Iterate ``(key, payload)`` over every stored entry (all shards).
@@ -1588,69 +1592,21 @@ class SolutionStore:
         """Bulk-iterate ``(key, payload)`` across the whole store, lazily.
 
         The one-pass feeder for table regeneration
-        (:func:`repro.analysis.sweep.sweep_records`): packed v2 shards
-        stream straight off the record table -- one JSON decode per
-        non-alias payload, **zero** full-shard parses and **zero** decodes
-        for alias entries, which are skipped from the record flags alone
-        (counted in ``scan_alias_skips``).  With ``include_aliases=True``
-        alias entries are yielded as ``{"alias_of": key}``, still without
-        touching JSON.  Legacy JSON shards fall back to the full parse
-        they always required.  ``scans`` / ``scan_entries`` count the
-        traffic.
+        (:func:`repro.analysis.sweep.sweep_records`): shards stream
+        straight off the record table -- one JSON decode per non-alias
+        payload, **zero** full-shard parses and **zero** decodes for alias
+        entries, which are skipped from the record flags alone (counted
+        in ``scan_alias_skips``).  With ``include_aliases=True`` alias
+        entries are yielded as ``{"alias_of": key}``, still without
+        touching JSON.  ``scans`` / ``scan_entries`` count the traffic.
         """
         with self._lock:
             self.scans += 1
             for shard_id in self._shard_ids():
-                if self.cache_shards and shard_id in self._shards:
-                    source = self._shards[shard_id]
-                elif self._shard_files(shard_id) == (False, True):
-                    yield from self._scan_binary(shard_id,
-                                                 include_aliases=include_aliases)
-                    continue
-                else:
-                    source = self._load_shard(shard_id)
-                for key, entry in sorted(source.items()):
-                    payload = {k: v for k, v in entry.items() if k != "__seq__"}
-                    if _is_alias_payload(payload) and not include_aliases:
-                        self.scan_alias_skips += 1
-                        continue
+                for key, payload in self._shard_payloads(
+                        shard_id, include_aliases=include_aliases):
                     self.scan_entries += 1
                     yield key, payload
-
-    def _scan_binary(self, shard_id: str, *,
-                     include_aliases: bool) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """One packed shard's slice of :meth:`scan` (no full decode)."""
-        reader = self._reader(shard_id)
-        if reader is None:
-            return
-        for index in range(reader.count):
-            try:
-                key, _seq, offset, length, flags = reader.record(index)
-            except (struct.error, UnicodeDecodeError):
-                self.corrupt_shards += 1
-                continue
-            if flags & _FLAG_ALIAS:
-                if not include_aliases:
-                    self.scan_alias_skips += 1
-                    continue
-                try:
-                    payload = {"alias_of":
-                               reader.blob(offset, length).decode("utf-8")}
-                except (_ShardCorrupt, UnicodeDecodeError):
-                    self.corrupt_shards += 1
-                    continue
-            else:
-                try:
-                    payload = json.loads(reader.blob(offset, length).decode("utf-8"))
-                    self.payload_decodes += 1
-                    if not isinstance(payload, dict):
-                        raise ValueError("payload is not an object")
-                except (_ShardCorrupt, UnicodeDecodeError,
-                        json.JSONDecodeError, ValueError):
-                    self.corrupt_shards += 1
-                    continue
-            self.scan_entries += 1
-            yield key, payload
 
     def scan_routed(self, ring: Any, owner: str, *,
                     include_aliases: bool = True) -> Iterator[Tuple[str, Dict[str, Any]]]:
@@ -1666,89 +1622,55 @@ class SolutionStore:
         Routing keys: a report entry routes by its own store key (the
         request fingerprint); an **alias** entry routes by its *target*
         fingerprint, so an alias and the report it points at always land
-        on -- and prewarm into -- the same runner.  On packed v2 shards
-        the filter is decode-free for rejected report entries (the route
-        key is the record-table key; only accepted payloads are JSON-
-        decoded) and alias targets come straight off the blob, exactly the
+        on -- and prewarm into -- the same runner.  The filter is
+        decode-free for rejected report entries (the route key is the
+        record-table key; only accepted payloads are JSON-decoded) and
+        alias targets come straight off the blob, exactly the
         :meth:`scan` fast path.  Alias payloads are yielded as
         ``{"alias_of": target}``.
 
         ``routed_scans`` / ``routed_entries`` / ``routed_skips`` count the
         traffic; skips are entries owned by someone else.
         """
+        def owned(route_key: str) -> bool:
+            if ring.route(route_key) == owner:
+                return True
+            self.routed_skips += 1
+            return False
+
         with self._lock:
             self.routed_scans += 1
             for shard_id in self._shard_ids():
-                if (not (self.cache_shards and shard_id in self._shards)
-                        and self._shard_files(shard_id) == (False, True)):
-                    yield from self._scan_binary_routed(
-                        shard_id, ring, owner,
-                        include_aliases=include_aliases)
-                    continue
-                if self.cache_shards and shard_id in self._shards:
-                    source = self._shards[shard_id]
-                else:
-                    source = self._load_shard(shard_id)
-                for key, entry in sorted(source.items()):
-                    payload = {k: v for k, v in entry.items()
-                               if k != "__seq__"}
-                    if _is_alias_payload(payload):
-                        if not include_aliases:
-                            self.scan_alias_skips += 1
-                            continue
-                        target = payload.get("alias_of")
-                        route_key = target if isinstance(target, str) else key
-                        payload = {"alias_of": target}
-                    else:
-                        route_key = key
-                    if ring.route(route_key) != owner:
-                        self.routed_skips += 1
-                        continue
+                for key, payload in self._shard_payloads(
+                        shard_id, include_aliases=include_aliases,
+                        accept=owned):
                     self.routed_entries += 1
                     yield key, payload
 
-    def _scan_binary_routed(self, shard_id: str, ring: Any, owner: str, *,
-                            include_aliases: bool) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """One packed shard's slice of :meth:`scan_routed` (decode-free
-        rejection: non-owned report entries never have their blob read)."""
+    def _shard_payloads(self, shard_id: str, *, include_aliases: bool,
+                        accept: Optional[Callable[[str], bool]] = None,
+                        ) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """One shard's slice of :meth:`scan` / :meth:`scan_routed`, in key
+        order: from the cached shard dict when this handle holds one, else
+        off the packed record table (see :meth:`_decode_record`)."""
+        if self.cache_shards and shard_id in self._shards:
+            for key, entry in sorted(self._shards[shard_id].items()):
+                payload = {k: v for k, v in entry.items() if k != "__seq__"}
+                alias = _is_alias_payload(payload)
+                if alias and not include_aliases:
+                    self.scan_alias_skips += 1
+                elif accept is None or accept(payload["alias_of"] if alias else key):
+                    yield key, payload
+            return
         reader = self._reader(shard_id)
         if reader is None:
             return
         for index in range(reader.count):
-            try:
-                key, _seq, offset, length, flags = reader.record(index)
-            except (struct.error, UnicodeDecodeError):
-                self.corrupt_shards += 1
-                continue
-            if flags & _FLAG_ALIAS:
-                if not include_aliases:
-                    self.scan_alias_skips += 1
-                    continue
-                try:
-                    target = reader.blob(offset, length).decode("utf-8")
-                except (_ShardCorrupt, UnicodeDecodeError):
-                    self.corrupt_shards += 1
-                    continue
-                if ring.route(target) != owner:
-                    self.routed_skips += 1
-                    continue
-                self.routed_entries += 1
-                yield key, {"alias_of": target}
-                continue
-            if ring.route(key) != owner:
-                self.routed_skips += 1
-                continue
-            try:
-                payload = json.loads(reader.blob(offset, length).decode("utf-8"))
-                self.payload_decodes += 1
-                if not isinstance(payload, dict):
-                    raise ValueError("payload is not an object")
-            except (_ShardCorrupt, UnicodeDecodeError,
-                    json.JSONDecodeError, ValueError):
-                self.corrupt_shards += 1
-                continue
-            self.routed_entries += 1
-            yield key, payload
+            decoded = self._decode_record(reader, index,
+                                          include_aliases=include_aliases,
+                                          accept=accept)
+            if decoded is not None:
+                yield decoded[0], decoded[2]
 
     def refresh(self) -> None:
         """Drop the in-memory shard cache (re-read other processes' writes)."""
@@ -1765,13 +1687,15 @@ class SolutionStore:
     def clear(self) -> None:
         """Delete every shard blob and reset the statistics."""
         with self._lock:
-            for shard_id in self._shard_ids():
-                for path in (self._json_path(shard_id),
-                             self._binary_path(shard_id)):
+            # A .json shard still awaiting import is a blob too: left
+            # behind, the next open would import its entries again.
+            for suffix in (".rps", ".json"):
+                for shard_id in self._shard_ids(suffix):
                     try:
-                        os.unlink(path)
+                        os.unlink(os.path.join(self._shard_dir, shard_id + suffix))
                     except OSError:
                         pass
+            self._pending_imports.clear()
             self._shards.clear()
             self._readers.clear()
             self._failed_readers.clear()
@@ -1805,7 +1729,6 @@ class SolutionStore:
             return {
                 "root": self.root,
                 "schema": STORE_SCHEMA_VERSION,
-                "shard_format": self.shard_format,
                 "durable": self.durable,
                 "entries": self.entry_count(),
                 "shards": len(self._shard_ids()),

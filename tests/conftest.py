@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.core.dag import TradeoffDAG
@@ -63,3 +66,29 @@ def figure4_like_dag() -> TradeoffDAG:
         # duplicate edge (b, c) is ignored by add_edge; kept to mirror multi-updates
         dag.add_edge(u, v)
     return dag
+
+
+@pytest.fixture
+def write_v1_store():
+    """Writer for legacy sharded-JSON (v1) stores: ``write(root, entries)``.
+
+    ``entries`` maps key -> payload in insertion order.  Each entry gets
+    the next ``__seq__`` and lands in the ``<first two key chars>.json``
+    shard blob ``{"schema": 1, "entries": {...}}``, beside a schema-1
+    ``meta.json`` -- the layout the v1 writer produced, which
+    :class:`~repro.engine.store.SolutionStore` now imports on open.
+    Returns the root as a string.
+    """
+    def write(root, entries):
+        shards = {}
+        for seq, (key, payload) in enumerate(entries.items(), start=1):
+            shards.setdefault(key[:2], {})[key] = dict(payload, __seq__=seq)
+        os.makedirs(os.path.join(root, "shards"), exist_ok=True)
+        for shard_id, shard in shards.items():
+            path = os.path.join(root, "shards", f"{shard_id}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({"schema": 1, "entries": shard}, handle)
+        with open(os.path.join(root, "meta.json"), "w", encoding="utf-8") as handle:
+            json.dump({"schema": 1, "shard_width": 2}, handle)
+        return str(root)
+    return write

@@ -470,8 +470,11 @@ class TestSolveClaims:
             def claim_in_lockstep(key):
                 got = claim(key)
                 calls.append(key)
-                if len(calls) == 1:
-                    barrier.wait()   # both first claims land first
+                if len(calls) <= 2:
+                    # Both first claims land first, then both second
+                    # claims: neither sweep can solve and release its
+                    # cell before the other has tried to claim it.
+                    barrier.wait()
                 return got
 
             monkeypatch.setattr(store, "claim_solve", claim_in_lockstep)

@@ -3,7 +3,8 @@
 Covers the happy path (round trips, two-tier solve integration), the
 stability of the solution serialization, and — most importantly — the
 degradation paths: truncated blobs, schema mismatches and hand-mangled
-payloads must all decay to *recompute*, never to a crash.
+payloads must all decay to *recompute*, never to a crash -- including
+legacy v1 shards, which decay the same way when they are imported.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.engine import (
     solution_to_payload,
     solve,
 )
+from repro.engine import store as store_module
 from repro.engine.store import report_from_payload, report_to_payload
 
 
@@ -151,13 +153,6 @@ class TestStoreBasics:
         shard_files = os.listdir(os.path.join(store.root, "shards"))
         assert sorted(shard_files) == ["aa.rps", "ab.rps"]
 
-    def test_json_format_still_writable(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        store.put("aa" + "0" * 62, {"v": 1})
-        shard_files = os.listdir(os.path.join(store.root, "shards"))
-        assert shard_files == ["aa.json"]
-        assert SolutionStore(store.root).get("aa" + "0" * 62) == {"v": 1}
-
     def test_eviction_keeps_newest(self, tmp_path):
         store = SolutionStore(str(tmp_path / "s"), max_entries_per_shard=3)
         keys = ["aa" + format(i, "062d") for i in range(5)]
@@ -202,57 +197,144 @@ class TestStoreBasics:
 # ---------------------------------------------------------------------------
 
 class TestStoreCorruption:
-    # The hand-editing tests below target the legacy v1 JSON shards
-    # explicitly; the packed v2 equivalents live in test_store_format.py.
-    @pytest.fixture()
-    def store(self, tmp_path):
-        return SolutionStore(str(tmp_path / "store"), shard_format="json")
+    # Legacy v1 JSON shards are only ever read by the importer that runs
+    # on open, so the hand-mangled v1 blobs below must import as empty or
+    # partial shards; the packed v2 equivalents live in
+    # test_store_format.py.
+    KEY = "aa" + "0" * 62
 
-    def test_truncated_shard_blob_is_a_miss(self, store):
-        key = "aa" + "0" * 62
-        store.put(key, {"v": 1})
-        path = os.path.join(store.root, "shards", "aa.json")
-        blob = open(path, encoding="utf-8").read()
-        with open(path, "w", encoding="utf-8") as handle:
+    def _shard(self, root) -> str:
+        return os.path.join(root, "shards", "aa.json")
+
+    def test_truncated_shard_blob_is_a_miss(self, tmp_path, write_v1_store):
+        root = write_v1_store(tmp_path / "store", {self.KEY: {"v": 1}})
+        blob = open(self._shard(root), encoding="utf-8").read()
+        with open(self._shard(root), "w", encoding="utf-8") as handle:
             handle.write(blob[: len(blob) // 2])  # truncate mid-JSON
-        fresh = SolutionStore(store.root)
-        assert fresh.get(key) is None
+        fresh = SolutionStore(root)
+        assert fresh.get(self.KEY) is None
         assert fresh.info()["corrupt_shards"] == 1
+        assert not os.path.exists(self._shard(root))  # imported as empty
         # the next write repairs the shard
-        assert fresh.put(key, {"v": 2})
-        assert SolutionStore(store.root).get(key) == {"v": 2}
+        assert fresh.put(self.KEY, {"v": 2})
+        assert SolutionStore(root).get(self.KEY) == {"v": 2}
 
-    def test_schema_mismatch_is_a_miss(self, store):
-        key = "aa" + "0" * 62
-        store.put(key, {"v": 1})
-        path = os.path.join(store.root, "shards", "aa.json")
-        blob = json.load(open(path, encoding="utf-8"))
+    def test_schema_mismatch_is_a_miss(self, tmp_path, write_v1_store):
+        root = write_v1_store(tmp_path / "store", {self.KEY: {"v": 1}})
+        blob = json.load(open(self._shard(root), encoding="utf-8"))
         blob["schema"] = STORE_SCHEMA_VERSION + 1
-        json.dump(blob, open(path, "w", encoding="utf-8"))
-        fresh = SolutionStore(store.root)
-        assert fresh.get(key) is None
+        json.dump(blob, open(self._shard(root), "w", encoding="utf-8"))
+        fresh = SolutionStore(root)
+        assert fresh.get(self.KEY) is None
         assert fresh.info()["schema_mismatches"] == 1
 
-    def test_malformed_blob_shape_is_a_miss(self, store):
-        path = os.path.join(store.root, "shards", "aa.json")
-        json.dump(["not", "a", "shard"], open(path, "w", encoding="utf-8"))
-        assert store.get("aa" + "0" * 62) is None
-        assert store.info()["corrupt_shards"] >= 1
+    def test_malformed_blob_shape_is_a_miss(self, tmp_path, write_v1_store):
+        root = write_v1_store(tmp_path / "store", {self.KEY: {"v": 1}})
+        json.dump(["not", "a", "shard"],
+                  open(self._shard(root), "w", encoding="utf-8"))
+        fresh = SolutionStore(root)
+        assert fresh.get(self.KEY) is None
+        assert fresh.info()["corrupt_shards"] >= 1
 
-    def test_non_dict_entry_values_skipped_not_crash(self, store):
-        good = "aa" + "0" * 62
+    def test_non_dict_entry_values_skipped_not_crash(self, tmp_path,
+                                                      write_v1_store):
+        good = self.KEY
         bad = "aa" + "1" * 62
-        store.put(good, {"v": 1})
-        path = os.path.join(store.root, "shards", "aa.json")
-        blob = json.load(open(path, encoding="utf-8"))
+        root = write_v1_store(tmp_path / "store", {good: {"v": 1}})
+        blob = json.load(open(self._shard(root), encoding="utf-8"))
         blob["entries"][bad] = "junk-string-entry"
-        json.dump(blob, open(path, "w", encoding="utf-8"))
-        fresh = SolutionStore(store.root)
+        json.dump(blob, open(self._shard(root), "w", encoding="utf-8"))
+        fresh = SolutionStore(root)
         assert fresh.get(bad) is None          # corrupted entry: miss
         assert fresh.get(good) == {"v": 1}      # shard-mates survive
         assert fresh.info()["corrupt_shards"] == 1
         assert fresh.put(bad, {"v": 2})         # next write repairs
         assert fresh.get(bad) == {"v": 2}
+
+    def test_failed_import_keeps_json_and_retries(self, tmp_path,
+                                                  write_v1_store,
+                                                  monkeypatch):
+        root = write_v1_store(tmp_path / "store", {self.KEY: {"v": 1}})
+
+        def refuse(*_args, **_kwargs):
+            raise OSError("read-only store")
+
+        monkeypatch.setattr(store_module, "_atomic_write_bytes", refuse)
+        blocked = SolutionStore(root)
+        assert blocked.info()["skipped_writes"] == 1
+        assert blocked.info()["migrated_shards"] == 0
+        assert os.path.exists(self._shard(root))  # the v1 blob is kept
+        assert blocked.get(self.KEY) is None      # a miss: recompute
+        monkeypatch.undo()
+
+        retried = SolutionStore(root)  # a later writable open imports it
+        assert retried.info()["migrated_shards"] == 1
+        assert not os.path.exists(self._shard(root))
+        assert retried.get(self.KEY) == {"v": 1}
+
+    @staticmethod
+    def _open_refusing_writes(root, monkeypatch) -> SolutionStore:
+        """Open ``root`` with every packed-shard write failing, then allow
+        writes again: the store's import failed, the handle lives on."""
+        def refuse(*_args, **_kwargs):
+            raise OSError("read-only store")
+
+        monkeypatch.setattr(store_module, "_atomic_write_bytes", refuse)
+        blocked = SolutionStore(root)
+        monkeypatch.undo()
+        assert blocked.info()["skipped_writes"] >= 1
+        return blocked
+
+    def test_write_after_failed_import_wins_over_the_v1_entry(
+            self, tmp_path, write_v1_store, monkeypatch):
+        other = "bb" + "0" * 62
+        root = write_v1_store(tmp_path / "store", {
+            self.KEY: {"v": "old"}, other: {"v": "other"}})
+        blocked = self._open_refusing_writes(root, monkeypatch)
+        # The write merges the waiting v1 blob and completes its import.
+        assert blocked.put(self.KEY, {"v": "new"})
+        assert not os.path.exists(self._shard(root))
+        assert blocked.info()["migrated_shards"] == 1
+        reopened = SolutionStore(root)
+        assert reopened.get(self.KEY) == {"v": "new"}
+        assert reopened.get(other) == {"v": "other"}
+        # The new write's sequence lies above every v1 entry: it is the
+        # newest, so it survives a compaction down to one entry.
+        assert reopened.compact(1) == 1
+        assert [key for key, _payload in reopened.payloads()] == [self.KEY]
+
+    def test_eviction_after_failed_import_stays_evicted(
+            self, tmp_path, write_v1_store, monkeypatch):
+        keys = ["aa" + f"{index:062d}" for index in range(3)]
+        root = write_v1_store(tmp_path / "store",
+                              {key: {"v": key} for key in keys})
+        blocked = self._open_refusing_writes(root, monkeypatch)
+        blocked.max_entries_per_shard = 2
+        newest = "aa" + "9" * 62
+        assert blocked.put(newest, {"v": 9})  # evicts keys[0] and keys[1]
+        assert blocked.info()["evictions"] == 2
+        reopened = SolutionStore(root)
+        assert [key for key, _payload in sorted(reopened.payloads())] == \
+            [keys[2], newest]
+
+    def test_clear_after_failed_import_removes_the_v1_blob(
+            self, tmp_path, write_v1_store, monkeypatch):
+        root = write_v1_store(tmp_path / "store", {self.KEY: {"v": 1}})
+        blocked = self._open_refusing_writes(root, monkeypatch)
+        blocked.clear()
+        assert os.listdir(os.path.join(root, "shards")) == []
+        assert SolutionStore(root).get(self.KEY) is None
+
+    def test_meta_json_is_rewritten_once_everything_is_imported(
+            self, tmp_path, write_v1_store, monkeypatch):
+        root = write_v1_store(tmp_path / "store", {self.KEY: {"v": 1}})
+        meta_path = os.path.join(root, "meta.json")
+        self._open_refusing_writes(root, monkeypatch)
+        assert json.load(open(meta_path, encoding="utf-8"))["schema"] == 1
+        SolutionStore(root, shard_width=3)  # imports; the stored width wins
+        meta = json.load(open(meta_path, encoding="utf-8"))
+        assert meta["schema"] == STORE_SCHEMA_VERSION
+        assert meta["shard_width"] == 2
 
     def test_mangled_report_payload_recomputes_not_crashes(self, store):
         problem = _problem()

@@ -1,16 +1,28 @@
 """Tests for the packed binary (v2) SolutionStore shard format.
 
-Covers what ``test_store.py`` cannot from the legacy JSON angle: the
-v1 <-> v2 migration (bit-identical round trips), mixed-format stores,
+Covers what ``test_store.py`` cannot from the packed side: the import of
+legacy v1 JSON stores on open (bit-identical payloads, insertion order,
+doubled shards, one import per store, three processes importing at once),
 binary corruption decay (truncate / mangle / version-bump -> recompute,
 never crash), the lazy ``get()`` / alias fast path and the ``scan()``
 bulk iterator, all gated on the store's decode counters.
+
+``fixtures/store_v1`` is a store written by the v1 JSON writer before it
+was removed: three solved reports, plain entries written against
+shard-id order, an alias, and shard ``ee`` present both as ``.json`` and
+as a newer ``.rps`` (a crash between a format-converting rewrite and the
+old blob's unlink).  ``fixtures/store_v1.snapshot.json`` records its
+payloads and insertion sequences as that writer's code read them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +37,10 @@ from repro.engine import (
     set_solution_store,
     solve,
 )
-from repro.engine.store import atomic_write_json
+from repro.engine.store import atomic_write_json, report_to_payload
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -54,112 +69,198 @@ def _shard_path(store: SolutionStore, shard_id: str, ext: str) -> str:
     return os.path.join(store.root, "shards", f"{shard_id}.{ext}")
 
 
+def _canonical(payloads) -> str:
+    """Canonical JSON of ``(key, payload)`` pairs -- the bit-identity
+    yardstick."""
+    return json.dumps(dict(payloads), sort_keys=True)
+
+
 def _snapshot(store: SolutionStore) -> str:
-    """Canonical JSON of every payload -- the bit-identity yardstick."""
-    return json.dumps(dict(store.payloads()), sort_keys=True)
+    return _canonical(store.payloads())
+
+
+def _shard_names(root: str):
+    return sorted(os.listdir(os.path.join(root, "shards")))
+
+
+def _eviction_order(store: SolutionStore):
+    """Keys in the order ``compact()`` evicts them (oldest first)."""
+    remaining = {key for key, _payload in store.payloads()}
+    order = []
+    for cap in range(len(remaining) - 1, -1, -1):
+        assert store.compact(cap) == 1
+        kept = {key for key, _payload in store.payloads()}
+        order.extend(remaining - kept)
+        remaining = kept
+    return order
 
 
 # ---------------------------------------------------------------------------
-# v1 <-> v2 migration
+# v1 import on open
 # ---------------------------------------------------------------------------
 
 class TestMigration:
-    def _seed_v1(self, tmp_path) -> SolutionStore:
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
+    def _seed_v1(self, tmp_path, write_v1_store):
+        entries = {}
         for budget in (1.0, 2.0, 3.0):
             problem = _problem(budget)
-            store.put_report(request_key(problem), solve(problem, use_cache=False))
-        store.put(_key("aa", 7), {"v": 7, "nested": {"xs": [1, 2.5]}})
-        store.put(_key("ab", 8), {"alias_of": _key("aa", 7)})
-        return store
+            key = request_key(problem)
+            entries[key] = report_to_payload(solve(problem, use_cache=False), key)
+        entries[_key("aa", 7)] = {"v": 7, "nested": {"xs": [1, 2.5]}}
+        entries[_key("ab", 8)] = {"alias_of": _key("aa", 7)}
+        return write_v1_store(tmp_path / "s", entries), entries
 
-    def test_v1_to_v2_round_trips_bit_identically(self, tmp_path):
-        store = self._seed_v1(tmp_path)
-        before = _snapshot(store)
-        keys = [key for key, _ in store.payloads()]
+    def test_v1_to_v2_round_trips_bit_identically(self, tmp_path,
+                                                  write_v1_store):
+        root, entries = self._seed_v1(tmp_path, write_v1_store)
+        legacy_shards = len(_shard_names(root))
 
-        stats = SolutionStore(store.root, shard_format="binary").migrate()
-        assert stats["failed"] == 0
-        assert stats["entries"] == len(keys) == 5
-
-        migrated = SolutionStore(store.root)
-        shard_files = os.listdir(os.path.join(store.root, "shards"))
-        assert all(name.endswith(".rps") for name in shard_files)
-        assert _snapshot(migrated) == before  # payloads byte-for-byte equal
+        migrated = SolutionStore(root)  # opening imports
+        info = migrated.info()
+        assert info["migrated_shards"] == legacy_shards
+        assert info["full_shard_parses"] == legacy_shards
+        assert info["entries"] == len(entries) == 5
+        assert all(name.endswith(".rps") for name in _shard_names(root))
+        # payloads byte-for-byte equal
+        assert _snapshot(migrated) == _canonical(entries.items())
         # reports still decode into full SolveReports
-        report_keys = [k for k in keys
-                       if migrated.get(k) and "solution" in migrated.get(k)]
+        report_keys = [k for k, payload in entries.items()
+                       if "solution" in payload]
         assert report_keys and all(migrated.get_report(k) is not None
                                    for k in report_keys)
-        assert migrated.info()["migrated_shards"] == 0  # counted on the mover
-        meta = json.load(open(os.path.join(store.root, "meta.json")))
-        assert meta["shard_format"] == "binary"
+        # migrate() is the same importer: nothing left to import
+        assert migrated.migrate() == {"shards": 0, "entries": 0, "failed": 0}
 
-    def test_v2_to_v1_escape_hatch(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"))  # binary default
-        store.put(_key("aa", 1), {"v": 1})
-        before = _snapshot(store)
-        handle = SolutionStore(store.root, shard_format="json")
-        assert handle.migrate()["shards"] == 1
-        shard_files = os.listdir(os.path.join(store.root, "shards"))
-        assert shard_files == ["aa.json"]
-        assert _snapshot(SolutionStore(store.root)) == before
-
-    def test_migration_preserves_insertion_order(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        for index, prefix in enumerate(["dd", "cc", "bb", "aa"]):
-            store.put(_key(prefix, index), {"v": index})
-        mover = SolutionStore(store.root, shard_format="binary")
-        mover.migrate()
-        fresh = SolutionStore(store.root)
+    def test_migration_preserves_insertion_order(self, tmp_path,
+                                                 write_v1_store):
+        root = write_v1_store(tmp_path / "s", {
+            _key(prefix, index): {"v": index}
+            for index, prefix in enumerate(["dd", "cc", "bb", "aa"])})
+        fresh = SolutionStore(root)
         assert fresh.compact(2) == 2  # oldest (dd, cc) evicted, not aa/bb
         kept = sorted(key for key, _payload in fresh.payloads())
         assert kept == [_key("aa", 3), _key("bb", 2)]
 
+    def test_meta_json_has_no_format_knob(self, tmp_path):
+        store = SolutionStore(str(tmp_path / "s"))
+        meta = json.load(open(os.path.join(store.root, "meta.json")))
+        assert meta["schema"] == 2 and "shard_format" not in meta
+        assert "shard_format" not in store.info()
+
+
+class TestImportFixture:
+    """The committed v1 store, imported by the current code."""
+
+    @pytest.fixture()
+    def root(self, tmp_path) -> str:
+        root = tmp_path / "store_v1"
+        shutil.copytree(FIXTURES / "store_v1", root)
+        return str(root)
+
+    @pytest.fixture()
+    def snapshot(self):
+        with open(FIXTURES / "store_v1.snapshot.json", encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_payloads_bit_identical_to_the_v1_reader(self, root, snapshot):
+        store = SolutionStore(root)
+        assert _snapshot(store) == _canonical(snapshot["payloads"].items())
+        assert store.info()["migrated_shards"] == 8
+        assert not [name for name in _shard_names(root)
+                    if not name.endswith(".rps")]
+        assert all(store.get_report(key) is not None
+                   for key in snapshot["report_keys"])
+        # The v1 writer's meta.json named its shard format; with every
+        # shard imported it is rewritten without it.
+        meta = json.load(open(os.path.join(root, "meta.json"), encoding="utf-8"))
+        assert meta == {"schema": 2, "format": "repro-solution-store/packed-v2",
+                        "shard_width": 2}
+
+    def test_doubled_shard_resolves_newest_by_seq(self, root):
+        store = SolutionStore(root)
+        assert store.get(_key("ee", 1)) == {"v": "new"}   # .rps seq 11 > 9
+        assert store.get(_key("ee", 2)) == {"v": "kept"}
+        assert _shard_names(root).count("ee.rps") == 1
+
+    def test_insertion_order_drives_compact(self, root, snapshot):
+        seqs = snapshot["seqs"]
+        assert _eviction_order(SolutionStore(root)) == \
+            sorted(seqs, key=seqs.__getitem__)
+
+    def test_second_open_imports_nothing(self, root):
+        SolutionStore(root)
+        again = SolutionStore(root)
+        info = again.info()
+        assert info["migrated_shards"] == 0
+        assert info["full_shard_parses"] == 0
+        assert info["entries"] == 10
+
+    def test_three_processes_import_at_once(self, root, snapshot):
+        opener = (
+            "import os, sys, time\n"
+            "from repro.engine.store import SolutionStore\n"
+            "root, go = sys.argv[1], sys.argv[2]\n"
+            "print('READY', flush=True)\n"
+            "while not os.path.exists(go):\n"
+            "    time.sleep(0.001)\n"
+            "store = SolutionStore(root, lock_timeout=60.0)\n"
+            "print(store.migrated_shards, store.corrupt_shards,\n"
+            "      store.skipped_writes, store.lock_timeouts, flush=True)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        go = os.path.join(os.path.dirname(root), "go")
+        processes = [subprocess.Popen(
+            [sys.executable, "-c", opener, root, go], env=env,
+            stdout=subprocess.PIPE, text=True) for _ in range(3)]
+        try:
+            for process in processes:
+                assert process.stdout.readline().strip() == "READY"
+            open(go, "w").close()
+            results = [process.communicate(timeout=60)[0].split()
+                       for process in processes]
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+        assert all(process.returncode == 0 for process in processes)
+        # each shard imported by exactly one opener; the others found its
+        # .json gone under the lock instead of reading a vanished file
+        assert sum(int(counts[0]) for counts in results) == 8
+        assert all(counts[1:] == ["0", "0", "0"] for counts in results)
+        assert not [name for name in _shard_names(root)
+                    if not name.endswith(".rps")]
+        store = SolutionStore(root)
+        assert store.entry_count() == len(snapshot["payloads"])
+        assert _snapshot(store) == _canonical(snapshot["payloads"].items())
+
 
 # ---------------------------------------------------------------------------
-# mixed-format stores (per-shard negotiation)
+# doubled shards: a .json and a .rps for the same shard id
 # ---------------------------------------------------------------------------
 
 class TestMixedFormat:
-    def test_shards_in_both_formats_coexist(self, tmp_path):
-        json_handle = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        json_handle.put(_key("aa", 1), {"v": 1})
-        binary_handle = SolutionStore(json_handle.root)  # binary default
-        binary_handle.put(_key("bb", 2), {"v": 2})
-
-        fresh = SolutionStore(json_handle.root)
-        assert fresh.get(_key("aa", 1)) == {"v": 1}
-        assert fresh.get(_key("bb", 2)) == {"v": 2}
-        assert fresh.entry_count() == 2
-        names = sorted(os.listdir(os.path.join(fresh.root, "shards")))
-        assert names == ["aa.json", "bb.rps"]
-
-    def test_write_converts_the_touched_shard(self, tmp_path):
-        json_handle = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        json_handle.put(_key("aa", 1), {"v": 1})
-        binary_handle = SolutionStore(json_handle.root)
-        binary_handle.put(_key("aa", 2), {"v": 2})  # same shard, new format
-        names = os.listdir(os.path.join(json_handle.root, "shards"))
-        assert names == ["aa.rps"]  # rewritten + old blob unlinked
-        fresh = SolutionStore(json_handle.root)
-        assert fresh.get(_key("aa", 1)) == {"v": 1}  # shard-mate carried over
-        assert fresh.get(_key("aa", 2)) == {"v": 2}
-
     def test_both_files_present_merges_by_seq(self, tmp_path):
-        # Simulates a crash between a format-converting rewrite and the old
-        # file's unlink: both blobs remain; the higher sequence must win.
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        store.put(_key("aa", 1), {"v": "old"})
-        json_blob = open(_shard_path(store, "aa", "json"), "rb").read()
-        binary_handle = SolutionStore(store.root)
-        binary_handle.put(_key("aa", 1), {"v": "new"})
-        with open(_shard_path(store, "aa", "json"), "wb") as handle:
-            handle.write(json_blob)  # resurrect the stale v1 blob
+        # A crash between a format-converting rewrite and the old file's
+        # unlink leaves both blobs; the import merges them per key and the
+        # higher insertion sequence wins, whichever file holds it.
+        store = SolutionStore(str(tmp_path / "s"))
+        store.put(_key("bb", 0), {"v": 0})                 # seq 1
+        store.put(_key("aa", 1), {"v": "new"})             # seq 2
+        store.put(_key("aa", 3), {"v": "stale"})           # seq 3
+        with open(_shard_path(store, "aa", "json"), "w") as handle:
+            json.dump({"schema": 1, "entries": {
+                _key("aa", 1): {"v": "old", "__seq__": 1},
+                _key("aa", 2): {"v": "json-only", "__seq__": 2},
+                _key("aa", 3): {"v": "newer", "__seq__": 9},
+            }}, handle)
 
         fresh = SolutionStore(store.root)
         assert fresh.get(_key("aa", 1)) == {"v": "new"}
-        assert fresh.entry_count() == 1
+        assert fresh.get(_key("aa", 2)) == {"v": "json-only"}
+        assert fresh.get(_key("aa", 3)) == {"v": "newer"}
+        assert fresh.entry_count() == 4
+        assert _shard_names(store.root) == ["aa.rps", "bb.rps"]
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +415,6 @@ class TestDurability:
         assert SolutionStore(store.root).get(key) == {"v": 1}
         assert store.info()["durable"] is True
 
-    def test_durable_json_store_round_trips(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json",
-                              durable=True)
-        key = _key("aa", 1)
-        assert store.put(key, {"v": 1})
-        assert SolutionStore(store.root).get(key) == {"v": 1}
-
     def test_atomic_write_json_fsync(self, tmp_path):
         path = str(tmp_path / "out.json")
         atomic_write_json(path, {"a": 1}, fsync=True)
@@ -338,4 +432,3 @@ class TestDurability:
         from_store = solve(problem)
         assert from_store.from_cache and from_store.cache_tier == "store"
         assert from_store.makespan == pytest.approx(fresh.makespan)
-        assert store.info()["shard_format"] == "binary"
